@@ -26,10 +26,14 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// Paths relative to WMM_LITMUS_DIR, so the test names do not depend on where
+// the checkout lives.
 std::vector<fs::path> golden_paths() {
   std::vector<fs::path> paths;
   for (const auto& entry : fs::directory_iterator(WMM_LITMUS_DIR)) {
-    if (entry.path().extension() == ".litmus") paths.push_back(entry.path());
+    if (entry.path().extension() == ".litmus") {
+      paths.push_back(entry.path().filename());
+    }
   }
   std::sort(paths.begin(), paths.end());
   return paths;
@@ -46,7 +50,7 @@ std::string slurp(const fs::path& p) {
 class Golden : public ::testing::TestWithParam<fs::path> {};
 
 TEST_P(Golden, ParsesCanonicallyAndBothOraclesMatchExpectations) {
-  const fs::path path = GetParam();
+  const fs::path path = fs::path(WMM_LITMUS_DIR) / GetParam();
   const std::string text = slurp(path);
   LitmusFile file;
   try {

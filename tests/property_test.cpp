@@ -2,6 +2,8 @@
 // simulator and the methodology.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/sensitivity.h"
 #include "sim/calibrate.h"
 #include "sim/litmus.h"
@@ -17,6 +19,12 @@ struct FenceStateCase {
   sim::FenceKind kind;
   unsigned dirty_stores;  // store-buffer entries before the fence
 };
+
+// Test names print the fence, not the case's raw bytes (which include
+// uninitialised padding).
+void PrintTo(const FenceStateCase& c, std::ostream* os) {
+  *os << sim::arch_name(c.arch) << ' ' << sim::fence_name(c.kind);
+}
 
 class FenceCostMonotone : public ::testing::TestWithParam<FenceStateCase> {};
 

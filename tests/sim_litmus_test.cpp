@@ -2,9 +2,16 @@
 // allowed/forbidden litmus outcome matrix on each simulated architecture.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "sim/litmus.h"
 
 namespace wmm::sim {
+
+// Test names print the litmus test's name, not the case's raw bytes (which
+// hold heap pointers and so change from run to run).
+void PrintTo(const LitmusCase& c, std::ostream* os) { *os << c.test.name; }
+
 namespace {
 
 class LitmusSuite : public ::testing::TestWithParam<LitmusCase> {};
