@@ -22,7 +22,6 @@
 
 #include "session.h"
 #include "sim/litmus.h"
-#include "svc/exec.h"
 #include "synth/search.h"
 
 namespace {
@@ -82,9 +81,9 @@ bool run_validation(bench::Session& session, unsigned reader_stores) {
   vivo.cost.contexts = {{}, {reader_stores, 0, 0.0}};
 
   const obs::SynthRecord in_vitro =
-      svc::synth_record(mp, sim::Arch::POWER7, vitro, session.cache());
+      synth::synth_record(mp, sim::Arch::POWER7, vitro, session.cache());
   const obs::SynthRecord in_vivo =
-      svc::synth_record(mp, sim::Arch::POWER7, vivo, session.cache());
+      synth::synth_record(mp, sim::Arch::POWER7, vivo, session.cache());
   session.record_raw(obs::synth_line(in_vitro));
   session.record_raw(obs::synth_line(in_vivo));
 
@@ -190,7 +189,7 @@ int main(int argc, char** argv) {
         continue;
       }
       const obs::SynthRecord rec =
-          svc::synth_record(c.test, arch, options, session.cache());
+          synth::synth_record(c.test, arch, options, session.cache());
       session.record_raw(obs::synth_line(rec));
       session.out() << "  " << rec.name << ": " << rec.assignment;
       if (rec.feasible) {

@@ -38,7 +38,7 @@
 #include "sim/litmus.h"
 #include "sim/litmus_family.h"
 #include "sim/litmus_format.h"
-#include "svc/exec.h"
+#include "sim/litmus_verdict.h"
 
 namespace {
 
@@ -180,14 +180,12 @@ int main(int argc, char** argv) {
     os << "exported " << inputs.size() << " tests to " << export_dir << "\n";
   }
 
-  // The herd question per architecture, both oracles, in parallel — the
-  // shared svc::litmus_verdict engine, so the verdict logic (and its
-  // persistent-store keying under --cache) is identical to the daemon's
-  // litmus op.
+  // The herd question per architecture, both oracles, in parallel; under
+  // --cache each verdict is keyed by the printed program.
   const std::vector<obs::LitmusVerdict> verdicts = bench::par_index_map(
       inputs.size(), session.threads(), [&](int i) {
         const Input& in = inputs[static_cast<std::size_t>(i)];
-        return svc::litmus_verdict(in.file, in.source, session.cache());
+        return sim::litmus_verdict(in.file, in.source, session.cache());
       });
 
   int disagreements = 0;

@@ -28,8 +28,8 @@
 //      counters only in TEST are reported but tolerated (new experiments).
 //
 // Wall-clock record types — manifest, throughput, histograms, profile,
-// cache, service — are schema-validated but never matched or compared: they
-// are excluded from the identity sets (exit 3) and from value diffs alike,
+// cache — are schema-validated but never matched or compared: they are
+// excluded from the identity sets (exit 3) and from value diffs alike,
 // because their numbers vary run to run (and warm-vs-cold cache) by
 // construction.
 //
@@ -112,8 +112,8 @@ std::optional<Report> load(const std::string& path) {
     }
     ++r.records;
     const std::string type = str(*v, "type");
-    // Wall-clock records (manifest, throughput, histograms, profile, cache,
-    // service) are validated above but deliberately not bucketed: they never
+    // Wall-clock records (manifest, throughput, histograms, profile, cache)
+    // are validated above but deliberately not bucketed: they never
     // participate in identity-set checks or value diffs.
     if (type == "sweep") {
       const std::string key = str(*v, "context") + "/" + str(*v, "benchmark") +

@@ -139,10 +139,6 @@ void Session::record_litmus(const obs::LitmusVerdict& v) {
   record_lines_.push_back(obs::litmus_line(v));
 }
 
-void Session::record_service(const obs::ServiceStats& s) {
-  record_lines_.push_back(obs::service_line(s));
-}
-
 void Session::record_raw(const std::string& json_line) {
   record_lines_.push_back(json_line);
 }

@@ -65,12 +65,10 @@ class Session {
   void record_sweep(const std::string& context, const core::SweepResult& sweep);
   void record_throughput(const obs::Throughput& t);
   void record_litmus(const obs::LitmusVerdict& v);
-  void record_service(const obs::ServiceStats& s);
 
-  // Appends one pre-serialised JSONL record verbatim (no trailing newline).
-  // Used by the service client to forward the daemon's streamed records into
-  // this session's report unchanged, preserving byte-identity with a direct
-  // in-process run.
+  // Appends one pre-serialised JSONL record verbatim (no trailing newline),
+  // for record types without a dedicated method (fence_synth's `synth`
+  // records).
   void record_raw(const std::string& json_line);
 
   // The persistent result store opened for --cache=DIR, or nullptr when the

@@ -202,27 +202,6 @@ std::string cache_line(const CacheActivity& c) {
   return w.take();
 }
 
-std::string service_line(const ServiceStats& s) {
-  const std::uint64_t probes = s.cache_hits + s.cache_misses;
-  JsonWriter w;
-  w.begin_object();
-  w.kv("type", "service");
-  w.kv("context", s.context);
-  w.kv("requests", s.requests);
-  w.kv("cells", s.cells);
-  w.kv("errors", s.errors);
-  w.kv("wall_s", s.wall_s);
-  w.kv("queue_depth_hwm", s.queue_depth_hwm);
-  w.kv("in_flight_hwm", s.in_flight_hwm);
-  w.kv("cache_hits", s.cache_hits);
-  w.kv("cache_misses", s.cache_misses);
-  w.kv("cache_hit_rate", probes > 0 ? static_cast<double>(s.cache_hits) /
-                                          static_cast<double>(probes)
-                                    : 0.0);
-  w.end_object();
-  return w.take();
-}
-
 std::string synth_line(const SynthRecord& r) {
   JsonWriter w;
   w.begin_object();
@@ -585,19 +564,6 @@ std::string validate_record(const JsonValue& record) {
       if (!err.empty()) return err;
     }
     return {};
-  }
-  if (t == "service") {
-    return check_keys(record, "service",
-                      {{"context", K::String},
-                       {"requests", K::Number},
-                       {"cells", K::Number},
-                       {"errors", K::Number},
-                       {"wall_s", K::Number},
-                       {"queue_depth_hwm", K::Number},
-                       {"in_flight_hwm", K::Number},
-                       {"cache_hits", K::Number},
-                       {"cache_misses", K::Number},
-                       {"cache_hit_rate", K::Number}});
   }
   return "unknown record type '" + t + "'";
 }

@@ -32,16 +32,13 @@
 //                queue_depth_hwm, worker_busy_ns}                   [v1.1]
 //   cache      : type, root, schema_hash, hits, misses, writes,
 //                evictions, corrupt, entries, bytes, hit_rate       [v1.1]
-//   service    : type, context, requests, cells, errors, wall_s,
-//                queue_depth_hwm, in_flight_hwm, cache_hits,
-//                cache_misses, cache_hit_rate                       [v1.1]
 //   synth      : type, name, arch, mode, cost_model, slots, feasible,
 //                assignment, cost_ns, ranked (each entry: assignment,
 //                cost_ns), candidates, oracle_queries, pruned_correct,
 //                pruned_incorrect                                   [v1.2]
 //
-// throughput, histograms, profile, cache, and service records carry
-// wall-clock or storage-state measurements, so (like the manifest) they are
+// throughput, histograms, profile, and cache records carry wall-clock or
+// storage-state measurements, so (like the manifest) they are
 // excluded from byte-identity comparisons between runs; every other record
 // type is deterministic for a fixed seed and configuration, independent of
 // --threads and of a warm result cache.  synth records are identity-excluded
@@ -155,23 +152,7 @@ struct CacheActivity {
 
 std::string cache_line(const CacheActivity& c);
 
-// End-of-run (or per-drain) summary of the batch-serving daemon
-// (svc/server.h).  Wall-clock data: identity-excluded.
-struct ServiceStats {
-  std::string context;           // e.g. socket path or "loadgen"
-  std::uint64_t requests = 0;    // frames answered
-  std::uint64_t cells = 0;       // study cells / corpus programs evaluated
-  std::uint64_t errors = 0;      // malformed or failed requests
-  double wall_s = 0.0;
-  std::uint64_t queue_depth_hwm = 0;
-  std::uint64_t in_flight_hwm = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-};
-
-std::string service_line(const ServiceStats& s);
-
-// One fence-synthesis answer (bench/fence_synth, the daemon's synth op):
+// One fence-synthesis answer (bench/fence_synth):
 // which assignment of fence instructions to the program's slots forbids the
 // forbidden outcomes at minimal cost.  `assignment` is the slot-wise
 // instruction list ("lwsync;isync", "none;none" when no fence is needed),

@@ -311,4 +311,29 @@ SynthResult synthesize(const SynthProblem& problem,
   return result;
 }
 
+obs::SynthRecord synth_record(const sim::LitmusTest& test, sim::Arch arch,
+                              SynthOptions options, cache::ResultCache* store) {
+  options.cache = store;
+  const SynthProblem problem =
+      make_problem(test, arch, sc_forbidden_outcomes(test, arch));
+  const SynthResult r = synthesize(problem, options);
+  obs::SynthRecord rec;
+  rec.name = test.name;
+  rec.arch = sim::arch_name(arch);
+  rec.mode = search_mode_name(options.mode);
+  rec.cost_model = cost_model_name(options.cost.model);
+  rec.slots = static_cast<int>(problem.slots.size());
+  rec.feasible = r.feasible;
+  rec.assignment = r.feasible ? r.best.name() : "infeasible";
+  rec.cost_ns = r.cost_ns;
+  for (const RankedFix& f : r.ranked) {
+    rec.ranked.emplace_back(f.assignment.name(), f.cost_ns);
+  }
+  rec.candidates = r.stats.candidates;
+  rec.oracle_queries = r.stats.oracle_queries;
+  rec.pruned_correct = r.stats.pruned_correct;
+  rec.pruned_incorrect = r.stats.pruned_incorrect;
+  return rec;
+}
+
 }  // namespace wmm::synth

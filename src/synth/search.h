@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/record.h"
 #include "synth/cost.h"
 #include "synth/oracle.h"
 
@@ -89,5 +90,14 @@ std::string serialize_result(const SynthResult& result);
 std::optional<SynthResult> parse_result(const std::string& text);
 std::string problem_cache_key(const SynthProblem& problem,
                               const SynthOptions& options);
+
+// One fence-synthesis answer for `test` on `arch` under the restore-SC
+// objective (forbid every outcome the arch admits that SC does not) — the
+// single implementation behind bench/fence_synth's `synth` records.
+// `options.cache` is overridden by `store` (pass the same pointer or null);
+// `options.cost.contexts`, when non-empty, must be sized per slot of
+// make_problem's skeleton.
+obs::SynthRecord synth_record(const sim::LitmusTest& test, sim::Arch arch,
+                              SynthOptions options, cache::ResultCache* store);
 
 }  // namespace wmm::synth

@@ -1,10 +1,12 @@
 // Content-addressed result store: round-trips, corruption detection,
-// concurrent writers, eviction bound, schema-bump invalidation, and the
-// byte-exact payload codec behind SensitivityStudy's cell cache.
+// concurrent writers, eviction bound, schema-bump invalidation, the
+// byte-exact payload codec behind SensitivityStudy's cell cache, and that
+// cell cache end to end (a warm study answers every cell from the store).
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -12,6 +14,9 @@
 
 #include "cache/codec.h"
 #include "cache/store.h"
+#include "obs/record.h"
+#include "platform/platform.h"
+#include "platform/study.h"
 
 namespace wmm::cache {
 namespace {
@@ -263,6 +268,63 @@ TEST(CacheCodecTest, RunOptionsDescriptionSeparatesConfigs) {
   b = a;
   b.cv_warn_threshold = 0.5;
   EXPECT_NE(describe_run_options(a), describe_run_options(b));
+}
+
+// A small sweep and ranking, run with no store, then cold and warm through
+// set_cache.  The warm run answers every cell from the store and writes
+// nothing; its sweep and comparison records equal the cold run's and the
+// store-less run's byte for byte.
+TEST(StudyCacheTest, WarmStudyAnswersEveryCellFromTheStore) {
+  platform::register_builtin_platforms();
+  const std::unique_ptr<platform::Platform> jvm =
+      platform::make_platform("jvm", sim::Arch::ARMV8);
+
+  core::SweepStudyConfig sweep;
+  sweep.benchmarks = {"spark"};
+  sweep.code_paths = {{"all-barriers", {}}};
+  sweep.max_exponent = 2;
+  sweep.runs = core::RunOptions{1, 2};
+
+  core::RankingStudyConfig ranking;
+  ranking.benchmarks = {"spark"};
+  ranking.sites = {jvm->site_ids().at(0), jvm->site_ids().at(1)};
+  ranking.runs = core::RunOptions{1, 2};
+  const std::uint64_t cells = 1 + 2;
+
+  const auto records = [&](ResultCache* store) {
+    core::SensitivityStudy study(*jvm, 2);
+    study.set_cache(store);
+    std::vector<std::string> lines;
+    for (const core::SweepResult& s : study.sweeps(sweep)) {
+      lines.push_back(obs::sweep_line("arm", s));
+    }
+    study.ranking(ranking, [&](const std::string& site,
+                               const std::string& benchmark,
+                               const core::Comparison& cmp) {
+      lines.push_back(
+          obs::comparison_line("jvm/arm", benchmark, "base", site, cmp));
+    });
+    return lines;
+  };
+
+  const std::vector<std::string> direct = records(nullptr);
+  ASSERT_EQ(direct.size(), cells);
+
+  TempRoot root("study");
+  ResultCache store(config_for(root));
+  const std::vector<std::string> cold = records(&store);
+  const CacheStats after_cold = store.stats();
+  EXPECT_EQ(after_cold.hits, 0u);
+  EXPECT_EQ(after_cold.writes, cells);
+
+  const std::vector<std::string> warm = records(&store);
+  const CacheStats after_warm = store.stats();
+  EXPECT_EQ(after_warm.hits, cells);
+  EXPECT_EQ(after_warm.misses, after_cold.misses);
+  EXPECT_EQ(after_warm.writes, after_cold.writes);
+
+  EXPECT_EQ(cold, direct);
+  EXPECT_EQ(warm, direct);
 }
 
 }  // namespace

@@ -1,19 +1,25 @@
 // diy7-style family generator: realisation unit checks, classic naming,
 // corpus size, and cross-oracle agreement through the parallel engine (the
 // generated corpus is only useful if the operational executor and the
-// axiomatic oracles answer the herd question identically on it).
+// axiomatic oracles answer the herd question identically on it), plus the
+// litmus_verdict records litmus_run emits for it: the same bytes at any
+// worker count, cold or warm from a result store.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <set>
 #include <string>
 
+#include "cache/store.h"
 #include "par/deterministic_map.h"
 #include "sim/axiomatic.h"
 #include "sim/axiomatic_power.h"
 #include "sim/fuzz.h"
 #include "sim/litmus_family.h"
 #include "sim/litmus_format.h"
+#include "sim/litmus_verdict.h"
 
 namespace wmm::sim {
 namespace {
@@ -157,6 +163,53 @@ TEST(FamilyGenerate, OraclesAgreeAcrossTheCorpus) {
   for (const std::string& d : disagreements) {
     EXPECT_TRUE(d.empty()) << d;
   }
+}
+
+// The `litmus` record of each of the first 12 family programs with at most
+// three communication edges, computed on `threads` workers.
+std::vector<std::string> family_verdict_lines(int threads,
+                                              cache::ResultCache* store) {
+  FamilyOptions options;
+  options.max_comm_edges = 3;
+  options.limit = 12;
+  return par::par_map(
+      generate_families(options),
+      [store](const FamilyProgram& p) {
+        return obs::litmus_line(litmus_verdict(
+            to_litmus_file(p.test, p.witness), "family", store));
+      },
+      threads);
+}
+
+TEST(LitmusVerdictTest, RecordsAreIdenticalAcrossThreadCounts) {
+  const std::vector<std::string> one = family_verdict_lines(1, nullptr);
+  ASSERT_EQ(one.size(), 12u);
+  EXPECT_EQ(one, family_verdict_lines(4, nullptr));
+}
+
+TEST(LitmusVerdictTest, WarmCacheReproducesRecordsWithoutRecomputing) {
+  namespace fs = std::filesystem;
+  const fs::path root = fs::temp_directory_path() /
+                        ("wmm_litmus_verdict_cache_" +
+                         std::to_string(::getpid()));
+  fs::remove_all(root);
+  cache::CacheConfig config;
+  config.root = root.string();
+  cache::ResultCache store(config);
+
+  const std::vector<std::string> cold = family_verdict_lines(1, &store);
+  const cache::CacheStats after_cold = store.stats();
+  EXPECT_EQ(after_cold.hits, 0u);
+  EXPECT_EQ(after_cold.writes, 12u);
+
+  const std::vector<std::string> warm = family_verdict_lines(1, &store);
+  EXPECT_EQ(cold, warm);
+  const cache::CacheStats after_warm = store.stats();
+  EXPECT_EQ(after_warm.hits, 12u);
+  EXPECT_EQ(after_warm.writes, 12u);
+  EXPECT_EQ(cold, family_verdict_lines(1, nullptr));
+
+  fs::remove_all(root);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // docs/synthesis.md), and the in-vivo cost model must reproduce the paper's
 // headline: context changes which correct fix is cheapest.
 //
-// These are end-to-end assertions through svc::synth_record — the same entry
-// point bench/fence_synth and the daemon use — so a change anywhere in the
+// These are end-to-end assertions through synth::synth_record — the same
+// entry point bench/fence_synth uses — so a change anywhere in the
 // lattice, oracle, cost model, or search shows up here as a changed
 // placement, not just a changed number.
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "sim/litmus.h"
-#include "svc/exec.h"
 #include "synth/search.h"
 
 namespace {
@@ -24,7 +23,7 @@ using sim::Arch;
 
 obs::SynthRecord synth(const sim::LitmusCase& c, Arch arch,
                        synth::SynthOptions options = {}) {
-  return svc::synth_record(c.test, arch, options, nullptr);
+  return synth::synth_record(c.test, arch, options, nullptr);
 }
 
 void expect_assignment(const sim::LitmusCase& c, Arch arch,

@@ -21,7 +21,6 @@
 #include "sim/axiomatic.h"
 #include "sim/axiomatic_power.h"
 #include "sim/litmus.h"
-#include "svc/exec.h"
 #include "synth/search.h"
 
 namespace {
@@ -255,10 +254,10 @@ TEST(SynthSearch, WarmCacheAnswersWithoutOracleAndByteIdentically) {
   EXPECT_EQ(synth::serialize_result(warm), synth::serialize_result(cold));
 
   // End to end: the emitted synth record is byte-identical cold vs warm.
-  const std::string cold_line = obs::synth_line(
-      svc::synth_record(mp.test, Arch::ARMV8, synth::SynthOptions{}, &store));
-  const std::string warm_line = obs::synth_line(
-      svc::synth_record(mp.test, Arch::ARMV8, synth::SynthOptions{}, &store));
+  const std::string cold_line = obs::synth_line(synth::synth_record(
+      mp.test, Arch::ARMV8, synth::SynthOptions{}, &store));
+  const std::string warm_line = obs::synth_line(synth::synth_record(
+      mp.test, Arch::ARMV8, synth::SynthOptions{}, &store));
   EXPECT_EQ(cold_line, warm_line);
 
   // A different cost configuration is a different key, not a stale hit.
