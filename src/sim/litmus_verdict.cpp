@@ -35,12 +35,10 @@ obs::LitmusVerdict litmus_verdict(const LitmusFile& file,
   }
 
   auto op = [&](Arch a) {
-    return condition_reachable(file,
-                                    enumerate_outcomes(file.test, a));
+    return condition_reachable(file, enumerate_outcomes(file.test, a));
   };
   auto ax = [&](Arch a) {
-    return condition_reachable(file,
-                                    axiomatic_outcomes(file.test, a));
+    return condition_reachable(file, axiomatic_outcomes(file.test, a));
   };
   v.op_sc = op(Arch::SC);
   v.op_tso = op(Arch::X86_TSO);
@@ -49,8 +47,7 @@ obs::LitmusVerdict litmus_verdict(const LitmusFile& file,
   v.ax_sc = ax(Arch::SC);
   v.ax_tso = ax(Arch::X86_TSO);
   v.ax_arm = ax(Arch::ARMV8);
-  v.ax_power =
-      condition_reachable(file, power_axiomatic_outcomes(file.test));
+  v.ax_power = condition_reachable(file, power_axiomatic_outcomes(file.test));
   v.agree = v.op_sc == v.ax_sc && v.op_tso == v.ax_tso &&
             v.op_arm == v.ax_arm && v.op_power == v.ax_power;
   v.expect_ok = true;
@@ -58,7 +55,7 @@ obs::LitmusVerdict litmus_verdict(const LitmusFile& file,
     const bool got = arch == Arch::SC        ? v.op_sc
                      : arch == Arch::X86_TSO ? v.op_tso
                      : arch == Arch::ARMV8   ? v.op_arm
-                                                  : v.op_power;
+                                             : v.op_power;
     if (got != allowed) v.expect_ok = false;
   }
   if (store) {
