@@ -7,7 +7,6 @@
 // line:col position so error reports stay stable and point at the defect.
 #include <gtest/gtest.h>
 
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -115,9 +114,6 @@ struct TeethCase {
   int col;
   const char* detail;
 };
-
-// Test names print the case label, not the case's raw bytes.
-void PrintTo(const TeethCase& tc, std::ostream* os) { *os << tc.label; }
 
 class ParserTeeth : public ::testing::TestWithParam<TeethCase> {};
 

@@ -26,14 +26,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Paths relative to WMM_LITMUS_DIR, so the test names do not depend on where
-// the checkout lives.
 std::vector<fs::path> golden_paths() {
   std::vector<fs::path> paths;
   for (const auto& entry : fs::directory_iterator(WMM_LITMUS_DIR)) {
-    if (entry.path().extension() == ".litmus") {
-      paths.push_back(entry.path().filename());
-    }
+    if (entry.path().extension() == ".litmus") paths.push_back(entry.path());
   }
   std::sort(paths.begin(), paths.end());
   return paths;
@@ -50,7 +46,7 @@ std::string slurp(const fs::path& p) {
 class Golden : public ::testing::TestWithParam<fs::path> {};
 
 TEST_P(Golden, ParsesCanonicallyAndBothOraclesMatchExpectations) {
-  const fs::path path = fs::path(WMM_LITMUS_DIR) / GetParam();
+  const fs::path path = GetParam();
   const std::string text = slurp(path);
   LitmusFile file;
   try {
