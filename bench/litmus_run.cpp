@@ -92,7 +92,7 @@ std::string export_filename(std::size_t index, const std::string& name) {
                 ? c
                 : '_';
   }
-  char prefix[16];
+  char prefix[24];
   std::snprintf(prefix, sizeof prefix, "%04zu-", index);
   return prefix + safe + ".litmus";
 }

@@ -141,7 +141,9 @@ TEST(ResultCacheTest, ConcurrentWritersAndReadersConverge) {
           // last-rename-wins race must never surface a torn or mixed entry.
           cache.put("fuzz", key, value);
           const auto hit = cache.get("fuzz", key);
-          if (hit) EXPECT_EQ(*hit, value) << "thread " << t;
+          if (hit) {
+            EXPECT_EQ(*hit, value) << "thread " << t;
+          }
         }
       }
     });

@@ -74,7 +74,9 @@ TEST(SynthLattice, PartialOrderAlgebra) {
     EXPECT_TRUE(synth::order_leq(a, kOrderFull));
     for (OrderMask b = 0; b <= kOrderFull; ++b) {
       // Antisymmetry, and join = bitwise-or is the least upper bound.
-      if (synth::order_leq(a, b) && synth::order_leq(b, a)) EXPECT_EQ(a, b);
+      if (synth::order_leq(a, b) && synth::order_leq(b, a)) {
+        EXPECT_EQ(a, b);
+      }
       const OrderMask join = a | b;
       EXPECT_TRUE(synth::order_leq(a, join));
       EXPECT_TRUE(synth::order_leq(b, join));
