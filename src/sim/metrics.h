@@ -4,7 +4,8 @@
 // "sim." prefix: fence executions per FenceKind, store-buffer traffic and
 // pressure, invalidation-queue activity, coherence directory / bus
 // transactions, and branch-predictor outcomes.  Slots are registered lazily
-// on first use; the hot-path cost of a hook is one relaxed atomic add.
+// on first use; the hot-path cost of a hook is one relaxed load and store on
+// the calling thread's own counter block.
 #pragma once
 
 #include <cstdint>

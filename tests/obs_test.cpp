@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <latch>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/harness.h"
@@ -169,6 +172,120 @@ TEST(Counters, SnapshotDeltaSubtractsCountersAndKeepsGauges) {
   EXPECT_EQ(delta[0].value, 5u);  // 15 - 10
   EXPECT_EQ(delta[1].name, "test.gauge");
   EXPECT_EQ(delta[1].value, 9u);  // absolute high-water mark
+}
+
+// Each counting thread writes its own block; the tests below pin how blocks
+// are handed out, reused and merged.
+
+TEST(Counters, BlockIsReusedAfterItsThreadExits) {
+  CounterRegistry reg;
+  const CounterId c = reg.register_counter("test.count");
+  for (int t = 0; t < 64; ++t) {
+    std::thread([&reg, c] {
+      for (int i = 0; i < 1000; ++i) reg.add(c);
+    }).join();
+    EXPECT_EQ(reg.blocks(), 1u) << "after thread " << t;
+  }
+  EXPECT_EQ(reg.value(c), 64000u);
+}
+
+TEST(Counters, ThreadsOutliveARegistryAndCountIntoTheNextOne) {
+  constexpr int kThreads = 4;
+  // Both registries live in the same storage, so the second has the first's
+  // address; only the generation tells the threads' cached blocks apart.
+  std::optional<CounterRegistry> reg;
+  reg.emplace();
+  const CounterId first_id = reg->register_counter("test.first");
+  std::latch counted_first(kThreads);
+  std::latch second_ready(1);
+  std::latch counted_second(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 1000; ++i) reg->add(first_id);
+      counted_first.count_down();
+      second_ready.wait();
+      const CounterId second_id = reg->register_counter("test.second");
+      for (int i = 0; i < 1000; ++i) reg->add(second_id, t + 1);
+      counted_second.arrive_and_wait();  // four live blocks at once
+    });
+  }
+  counted_first.wait();
+  EXPECT_EQ(reg->value(first_id), 4000u);
+  reg.reset();  // destroyed while every thread that counted into it lives
+  reg.emplace();
+  second_ready.count_down();
+  for (std::thread& th : threads) th.join();
+  const auto snap = reg->snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_EQ(snap[0].name, "test.second");
+  EXPECT_EQ(snap[0].value, 1000u * (1 + 2 + 3 + 4));
+  EXPECT_EQ(reg->blocks(), static_cast<std::size_t>(kThreads));
+}
+
+TEST(Counters, ResetZeroesEveryThreadsBlock) {
+  constexpr int kThreads = 4;
+  CounterRegistry reg;
+  const CounterId c = reg.register_counter("test.count");
+  const CounterId g = reg.register_gauge("test.gauge");
+  std::latch counted(kThreads);
+  std::latch was_reset(1);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      reg.add(c, 100);
+      reg.record_max(g, 50);
+      counted.count_down();
+      was_reset.wait();
+      reg.add(c);
+      reg.record_max(g, 1);
+    });
+  }
+  counted.wait();
+  EXPECT_EQ(reg.value(c), 400u);
+  reg.reset_values();
+  EXPECT_EQ(reg.value(c), 0u);
+  EXPECT_EQ(reg.value(g), 0u);
+  was_reset.count_down();
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(reg.value(c), 4u);  // nothing left over from before the reset
+  EXPECT_EQ(reg.value(g), 1u);
+}
+
+TEST(Counters, GaugeMaxMergesAcrossThreads) {
+  CounterRegistry reg;
+  const CounterId g = reg.register_gauge("test.gauge");
+  std::latch all_counted(4);
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 1; t <= 4; ++t) {
+    threads.emplace_back([&, t] {
+      reg.record_max(g, 10 * t);
+      reg.record_max(g, 5);
+      all_counted.arrive_and_wait();  // four live blocks at once
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(reg.blocks(), 4u);
+  EXPECT_EQ(reg.value(g), 40u);  // the maximum, not the sum
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_TRUE(snap[0].is_gauge);
+  EXPECT_EQ(snap[0].value, 40u);
+}
+
+TEST(Counters, OneThreadAlternatingBetweenRegistriesKeepsBothExact) {
+  CounterRegistry a;
+  CounterRegistry b;
+  const CounterId ca = a.register_counter("test.a");
+  const CounterId cb = b.register_counter("test.b");
+  for (int i = 0; i < 1000; ++i) {
+    a.add(ca);
+    b.add(cb, 2);
+  }
+  EXPECT_EQ(a.value(ca), 1000u);
+  EXPECT_EQ(b.value(cb), 2000u);
+  EXPECT_EQ(a.blocks(), 1u);
+  EXPECT_EQ(b.blocks(), 1u);
 }
 
 // --------------------------------------------------------------- Trace
