@@ -58,29 +58,30 @@ CounterRegistry::~CounterRegistry() {
 }
 
 CounterRegistry::Block& CounterRegistry::attach_thread() {
+  // A thread_local destructor may count after this thread's ThreadBlocks is
+  // gone; the block it takes then is never handed back.
+  ThreadBlocks* mine = nullptr;
+  if (!t_blocks_released) {
+    thread_local ThreadBlocks blocks;
+    mine = &blocks;
+  }
   Block* block = nullptr;
-  if (t_blocks_released) {
-    // Counting from a thread_local destructor after this thread's blocks
-    // went back: use a block of its own that is never handed out again.
-    std::lock_guard<std::mutex> lock(mutex_);
-    block = blocks_.emplace_back(std::make_unique<Block>()).get();
-  } else {
-    thread_local ThreadBlocks mine;
-    for (const auto& [generation, held] : mine.held) {
+  if (mine != nullptr) {
+    for (const auto& [generation, held] : mine->held) {
       if (generation == generation_) block = held;
     }
-    if (block == nullptr) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (free_.empty()) {
-          block = blocks_.emplace_back(std::make_unique<Block>()).get();
-        } else {
-          block = free_.back();
-          free_.pop_back();
-        }
+  }
+  if (block == nullptr) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (free_.empty()) {
+        block = blocks_.emplace_back(std::make_unique<Block>()).get();
+      } else {
+        block = free_.back();
+        free_.pop_back();
       }
-      mine.held.emplace_back(generation_, block);
     }
+    if (mine != nullptr) mine->held.emplace_back(generation_, block);
   }
   cache_ = {generation_, block};
   return *block;
