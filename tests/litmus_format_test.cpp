@@ -7,6 +7,9 @@
 // line:col position so error reports stay stable and point at the defect.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -117,8 +120,7 @@ struct TeethCase {
 
 class ParserTeeth : public ::testing::TestWithParam<TeethCase> {};
 
-TEST_P(ParserTeeth, DistinctDiagnosticWithPosition) {
-  const TeethCase& tc = GetParam();
+void expect_teeth(const TeethCase& tc) {
   try {
     parse_litmus(tc.input);
     FAIL() << tc.label << ": expected LitmusParseError";
@@ -127,6 +129,10 @@ TEST_P(ParserTeeth, DistinctDiagnosticWithPosition) {
     EXPECT_EQ(e.line(), tc.line) << tc.label;
     EXPECT_EQ(e.col(), tc.col) << tc.label;
   }
+}
+
+TEST_P(ParserTeeth, DistinctDiagnosticWithPosition) {
+  expect_teeth(GetParam());
 }
 
 constexpr const char* kValidX86 =
@@ -175,12 +181,56 @@ const TeethCase kTeeth[] = {
      9, "condition references register EBX, which is never loaded"},
 };
 
+// A table row's full test name also prints the row's raw bytes, and so the
+// addresses of its strings, which change from run to run.  These rows
+// (bad_arch_header, missing_test_name, unterminated_init) are registered as
+// plain ParserTeeth tests named by their label instead.
+constexpr std::size_t kPlainRows[] = {0, 1, 6};
+
+bool is_plain_row(std::size_t i) {
+  for (std::size_t p : kPlainRows) {
+    if (p == i) return true;
+  }
+  return false;
+}
+
+std::array<TeethCase, std::size(kTeeth) - std::size(kPlainRows)> table_rows() {
+  std::array<TeethCase, std::size(kTeeth) - std::size(kPlainRows)> rows{};
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < std::size(kTeeth); ++i) {
+    if (!is_plain_row(i)) rows[n++] = kTeeth[i];
+  }
+  return rows;
+}
+
+const auto kTableRows = table_rows();
+
 std::string teeth_name(const ::testing::TestParamInfo<TeethCase>& info) {
   return info.param.label;
 }
 
-INSTANTIATE_TEST_SUITE_P(All, ParserTeeth, ::testing::ValuesIn(kTeeth),
+INSTANTIATE_TEST_SUITE_P(All, ParserTeeth, ::testing::ValuesIn(kTableRows),
                          teeth_name);
+
+class TeethRowTest : public ParserTeeth {
+ public:
+  explicit TeethRowTest(const TeethCase& tc) : tc_(tc) {}
+  void TestBody() override { expect_teeth(tc_); }
+
+ private:
+  const TeethCase& tc_;
+};
+
+const bool kPlainRowsRegistered = [] {
+  for (std::size_t i = 0; i < std::size(kTeeth); ++i) {
+    if (!is_plain_row(i)) continue;
+    ::testing::RegisterTest(
+        "ParserTeeth", kTeeth[i].label, nullptr, nullptr, __FILE__, __LINE__,
+        // The same fixture type as the TEST(ParserTeeth, ...) cases below.
+        [i]() -> ::testing::Test* { return new TeethRowTest(kTeeth[i]); });
+  }
+  return true;
+}();
 
 TEST(ParserTeeth, ValidBaselineParses) {
   // The teeth cases above are one defect away from this baseline.
