@@ -33,14 +33,12 @@ const char* volatile_mode_name(VolatileMode mode) {
   return mode == VolatileMode::Barriers ? "barriers" : "acq/rel";
 }
 
-FencingStrategy::FencingStrategy(const JvmConfig& config)
-    : config_(config),
-      elemental_counters_("jvm.elemental.", elemental_site_names()),
-      ir_counters_("jvm.ir.", ir_site_names()) {}
+namespace {
 
-sim::FenceKind FencingStrategy::lowering(Elemental e) const {
-  if (e == Elemental::StoreStore && config_.storestore_override) {
-    return *config_.storestore_override;
+// The hardware instruction elemental barrier `e` lowers to under `config`.
+sim::FenceKind resolve_lowering(const JvmConfig& config, Elemental e) {
+  if (e == Elemental::StoreStore && config.storestore_override) {
+    return *config.storestore_override;
   }
   // Each elemental barrier IS one lattice class; lowering is the generic
   // weakest-cover query.  This reproduces the JDK9 tables the paper cites
@@ -55,53 +53,56 @@ sim::FenceKind FencingStrategy::lowering(Elemental e) const {
     case Elemental::StoreLoad: need = synth::kOrderWR; break;
     case Elemental::StoreStore: need = synth::kOrderWW; break;
   }
-  return synth::lower_order(need, config_.arch, synth::SiteIdiom::Standalone,
+  return synth::lower_order(need, config.arch, synth::SiteIdiom::Standalone,
                             sim::FenceKind::CompilerOnly);
 }
 
-sim::FenceSeq FencingStrategy::ir_sequence(IrBarrier b) const {
-  const std::vector<Elemental> members = ir_components(b);
-  // Subsumption: if the combination includes StoreLoad, the full barrier it
-  // lowers to covers every weaker member.
-  const bool has_storeload =
-      std::find(members.begin(), members.end(), Elemental::StoreLoad) != members.end();
-  sim::FenceSeq seq;
-  if (has_storeload) {
-    seq.push_back(sim::FenceOp::of(lowering(Elemental::StoreLoad)));
-    return seq;
+}  // namespace
+
+FencingStrategy::FencingStrategy(const JvmConfig& config)
+    : config_(config),
+      // Cost-function instruction count (Figures 2/3): mov+subs+bne = 3 with
+      // a scratch register; two more for the stack spill/reload on ARM,
+      // three more on POWER (std/li/addi/cmpwi/bne/ld = 6).
+      site_policy_{
+          .padded_slots = platform::injected_slot_count(
+              config.arch, !config.scratch_register()),
+          .pad_with_nops = config.pad_with_nops,
+          .stack_spill = !config.scratch_register(),
+      },
+      elemental_counters_("jvm.elemental.", elemental_site_names()),
+      ir_counters_("jvm.ir.", ir_site_names()) {
+  for (Elemental e : kAllElementals) {
+    lowering_[static_cast<std::size_t>(e)] = resolve_lowering(config_, e);
   }
-  for (Elemental e : members) {
-    const sim::FenceKind k = lowering(e);
-    const bool dup = std::any_of(seq.begin(), seq.end(), [&](const sim::FenceOp& op) {
-      return op.kind == k;
-    });
-    if (!dup && k != sim::FenceKind::CompilerOnly && k != sim::FenceKind::None) {
-      seq.push_back(sim::FenceOp::of(k));
+  for (std::size_t i = 0; i < ir_sequence_.size(); ++i) {
+    ir_members_[i] = ir_components(static_cast<IrBarrier>(i));
+    const std::vector<Elemental>& members = ir_members_[i];
+    sim::FenceSeq& seq = ir_sequence_[i];
+    // Subsumption: if the combination includes StoreLoad, the full barrier it
+    // lowers to covers every weaker member.
+    if (std::find(members.begin(), members.end(), Elemental::StoreLoad) !=
+        members.end()) {
+      seq.push_back(sim::FenceOp::of(lowering(Elemental::StoreLoad)));
+      continue;
+    }
+    for (Elemental e : members) {
+      const sim::FenceKind k = lowering(e);
+      const bool dup = std::any_of(seq.begin(), seq.end(), [&](const sim::FenceOp& op) {
+        return op.kind == k;
+      });
+      if (!dup && k != sim::FenceKind::CompilerOnly && k != sim::FenceKind::None) {
+        seq.push_back(sim::FenceOp::of(k));
+      }
     }
   }
-  return seq;
-}
-
-std::uint32_t FencingStrategy::injected_slots() const {
-  // Cost-function instruction count (Figures 2/3): mov+subs+bne = 3 with a
-  // scratch register; two more for the stack spill/reload on ARM, three more
-  // on POWER (std/li/addi/cmpwi/bne/ld = 6).
-  return platform::injected_slot_count(config_.arch, !config_.scratch_register());
-}
-
-platform::SitePolicy FencingStrategy::site_policy() const {
-  return platform::SitePolicy{
-      .padded_slots = injected_slots(),
-      .pad_with_nops = config_.pad_with_nops,
-      .stack_spill = !config_.scratch_register(),
-  };
 }
 
 void FencingStrategy::emit_elemental(sim::Cpu& cpu, Elemental e,
                                      std::uint64_t site) const {
   elemental_counters_.hit(static_cast<std::size_t>(e));
   cpu.fence(lowering(e), site);
-  platform::run_injection(cpu, config_.injection_for(e), site_policy());
+  platform::run_injection(cpu, config_.injection_for(e), site_policy_);
 }
 
 void FencingStrategy::emit_ir(sim::Cpu& cpu, IrBarrier b, std::uint64_t site) const {
@@ -109,9 +110,8 @@ void FencingStrategy::emit_ir(sim::Cpu& cpu, IrBarrier b, std::uint64_t site) co
   cpu.exec_seq(ir_sequence(b), site);
   // Every member elemental's code path runs at this site, so each member's
   // injection applies.
-  const platform::SitePolicy policy = site_policy();
-  for (Elemental e : ir_components(b)) {
-    platform::run_injection(cpu, config_.injection_for(e), policy);
+  for (Elemental e : ir_members_[static_cast<std::size_t>(b)]) {
+    platform::run_injection(cpu, config_.injection_for(e), site_policy_);
   }
 }
 

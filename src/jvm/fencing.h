@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/cost_function.h"
 #include "jvm/barriers.h"
@@ -57,7 +58,9 @@ struct JvmConfig {
 };
 
 // Lowers barriers to instructions and executes them (with injections) on a
-// simulated cpu.
+// simulated cpu.  The whole lowering table is resolved once, at construction:
+// the config is fixed for the strategy's lifetime, so the emit paths only
+// index arrays and never query the ordering lattice.
 class FencingStrategy {
  public:
   explicit FencingStrategy(const JvmConfig& config);
@@ -65,11 +68,15 @@ class FencingStrategy {
   const JvmConfig& config() const { return config_; }
 
   // The hardware instruction an elemental barrier lowers to.
-  sim::FenceKind lowering(Elemental e) const;
+  sim::FenceKind lowering(Elemental e) const {
+    return lowering_[static_cast<std::size_t>(e)];
+  }
 
   // The deduplicated instruction sequence for an IR barrier (subsumption: a
   // StoreLoad member requires the full barrier which covers the rest).
-  sim::FenceSeq ir_sequence(IrBarrier b) const;
+  const sim::FenceSeq& ir_sequence(IrBarrier b) const {
+    return ir_sequence_[static_cast<std::size_t>(b)];
+  }
 
   // Execute an elemental barrier (instruction + its injection) at `site`.
   void emit_elemental(sim::Cpu& cpu, Elemental e, std::uint64_t site) const;
@@ -81,14 +88,20 @@ class FencingStrategy {
   // Number of injected instruction slots per elemental barrier; the paper
   // reports three instructions on ARMv8 (scratch register available) and six
   // on POWER.
-  std::uint32_t injected_slots() const;
+  std::uint32_t injected_slots() const { return site_policy_.padded_slots; }
 
   // The site-wide injection policy (slot count / padding / spill) this
   // strategy hands to the shared platform::run_injection emit path.
-  platform::SitePolicy site_policy() const;
+  platform::SitePolicy site_policy() const { return site_policy_; }
 
  private:
   JvmConfig config_;
+  // Resolved at construction: one lowering per elemental barrier (StoreStore
+  // override applied), and per IR barrier its subsumed sequence and members.
+  std::array<sim::FenceKind, 4> lowering_{};
+  std::array<sim::FenceSeq, 5> ir_sequence_;
+  std::array<std::vector<Elemental>, 5> ir_members_;
+  platform::SitePolicy site_policy_;
   // Per-code-path execution counters ("jvm.elemental.*" / "jvm.ir.*"),
   // resolved once at construction so emit_* stays a direct increment.
   platform::SiteCounters elemental_counters_;

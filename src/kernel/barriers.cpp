@@ -51,10 +51,10 @@ const char* rbd_strategy_name(RbdStrategy s) {
   return "?";
 }
 
-KernelBarriers::KernelBarriers(const KernelConfig& config)
-    : config_(config), macro_counters_("kernel.macro.", macro_site_names()) {}
+namespace {
 
-sim::FenceKind KernelBarriers::lowering(KMacro m) const {
+// Hardware lowering of macro `m` under `config`.
+sim::FenceKind resolve_lowering(const KernelConfig& config, KMacro m) {
   using sim::FenceKind;
   // This table is a view of the unified ordering lattice: each macro is a
   // (required-order, idiom) row lowered through synth::lower_order, which
@@ -64,10 +64,10 @@ sim::FenceKind KernelBarriers::lowering(KMacro m) const {
   // lattice lowerings: READ_BARRIER_DEPENDS is the experiment variable
   // (strategy-selected), and smp_load_acquire/smp_store_release lower to
   // native ldar/stlr instructions, not fences.
-  if (config_.arch == sim::Arch::ARMV8) {
+  if (config.arch == sim::Arch::ARMV8) {
     switch (m) {
       case KMacro::ReadBarrierDepends:
-        switch (config_.rbd) {
+        switch (config.rbd) {
           case RbdStrategy::BaseNop: return FenceKind::CompilerOnly;
           case RbdStrategy::Ctrl: return FenceKind::CtrlDep;
           case RbdStrategy::CtrlIsb: return FenceKind::CtrlIsb;
@@ -92,8 +92,8 @@ sim::FenceKind KernelBarriers::lowering(KMacro m) const {
     case KMacro::SmpMbAfterAtomic:
       // Full ordering around an atomic RMW — except on x86, where the lock
       // prefix already orders everything and Linux defines these as no-ops.
-      need = config_.arch == sim::Arch::X86_TSO ? synth::kOrderNone
-                                                : synth::kOrderFull;
+      need = config.arch == sim::Arch::X86_TSO ? synth::kOrderNone
+                                               : synth::kOrderFull;
       break;
     case KMacro::Mb:
       need = synth::kOrderFull;
@@ -128,27 +128,32 @@ sim::FenceKind KernelBarriers::lowering(KMacro m) const {
       need = synth::kOrderRW | synth::kOrderWW;
       break;
   }
-  return synth::lower_order(need, config_.arch, idiom, FenceKind::CompilerOnly);
+  return synth::lower_order(need, config.arch, idiom, FenceKind::CompilerOnly);
 }
 
-std::uint32_t KernelBarriers::injected_slots() const {
-  return platform::injected_slot_count(config_.arch, /*stack_spill=*/true);
-}
+}  // namespace
 
-platform::SitePolicy KernelBarriers::site_policy() const {
-  // The kernel has no scratch register, so the cost function always spills.
-  return platform::SitePolicy{
-      .padded_slots = injected_slots(),
-      .pad_with_nops = config_.pad_with_nops,
-      .stack_spill = true,
-  };
+KernelBarriers::KernelBarriers(const KernelConfig& config)
+    : config_(config),
+      // The kernel has no scratch register, so the cost function always
+      // spills.
+      site_policy_{
+          .padded_slots = platform::injected_slot_count(config.arch,
+                                                        /*stack_spill=*/true),
+          .pad_with_nops = config.pad_with_nops,
+          .stack_spill = true,
+      },
+      macro_counters_("kernel.macro.", macro_site_names()) {
+  for (KMacro m : kAllMacros) {
+    lowering_[static_cast<std::size_t>(m)] = resolve_lowering(config_, m);
+  }
 }
 
 void KernelBarriers::run_injection(sim::Cpu& cpu, KMacro m) const {
   // Every macro entry point funnels through its injection, so this is the
   // single place each macro execution is counted.
   macro_counters_.hit(static_cast<std::size_t>(m));
-  platform::run_injection(cpu, config_.injection_for(m), site_policy());
+  platform::run_injection(cpu, config_.injection_for(m), site_policy_);
 }
 
 void KernelBarriers::fence(sim::Cpu& cpu, KMacro m, std::uint64_t site) const {

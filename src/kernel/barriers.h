@@ -83,6 +83,9 @@ struct KernelConfig {
   }
 };
 
+// The macro implementations.  Every lowering (with the configured
+// read_barrier_depends strategy applied) and the site policy are resolved
+// once at construction; the macro paths only index the table.
 class KernelBarriers {
  public:
   explicit KernelBarriers(const KernelConfig& config);
@@ -90,7 +93,9 @@ class KernelBarriers {
   const KernelConfig& config() const { return config_; }
 
   // Hardware lowering of a barrier-only macro on the configured arch.
-  sim::FenceKind lowering(KMacro m) const;
+  sim::FenceKind lowering(KMacro m) const {
+    return lowering_[static_cast<std::size_t>(m)];
+  }
 
   // Barrier-only macros (no memory access of their own).
   void fence(sim::Cpu& cpu, KMacro m, std::uint64_t site) const;
@@ -108,16 +113,18 @@ class KernelBarriers {
   // Injected instruction slots per macro site (kernel has no scratch
   // register, so the cost function always spills: 5 slots on ARM, 6 on
   // POWER).
-  std::uint32_t injected_slots() const;
+  std::uint32_t injected_slots() const { return site_policy_.padded_slots; }
 
   // The site-wide injection policy (slot count / padding / spill) handed to
   // the shared platform::run_injection emit path.
-  platform::SitePolicy site_policy() const;
+  platform::SitePolicy site_policy() const { return site_policy_; }
 
  private:
   void run_injection(sim::Cpu& cpu, KMacro m) const;
 
   KernelConfig config_;
+  std::array<sim::FenceKind, kNumMacros> lowering_{};
+  platform::SitePolicy site_policy_;
   // Per-macro execution counters ("kernel.macro.*"), resolved once at
   // construction so run_injection stays a direct increment.
   platform::SiteCounters macro_counters_;

@@ -180,8 +180,6 @@ PoolStats& pool_stats() {
 
 #ifndef WMM_PROFILE_DISABLED
 
-thread_local ProfileSpan* ProfileSpan::t_current_ = nullptr;
-
 void ProfileSpan::finish() {
   const std::uint64_t end_ns = profile_now_ns();
   const std::uint64_t dur_ns = end_ns > start_ns_ ? end_ns - start_ns_ : 0;

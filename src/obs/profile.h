@@ -161,7 +161,10 @@ class ProfileSpan {
   std::uint64_t start_ns_ = 0;
   std::uint64_t child_ns_ = 0;
   ProfileSpan* parent_ = nullptr;
-  static thread_local ProfileSpan* t_current_;
+  // Constant-initialised inline thread_local: every TU sees the definition,
+  // so access is a plain TLS slot with no wrapper call (as counters.h's
+  // cache_).
+  static inline constinit thread_local ProfileSpan* t_current_ = nullptr;
 };
 
 #define WMM_PROFILE_SPAN_CAT2(a, b) a##b

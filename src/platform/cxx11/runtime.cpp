@@ -128,18 +128,17 @@ Lowering access_lowering(AccessPoint p, sim::Arch arch) {
 }
 
 AtomicsRuntime::AtomicsRuntime(const Cxx11Config& config)
-    : config_(config), counters_("cxx11.atomic.", access_point_names()) {}
-
-std::uint32_t AtomicsRuntime::injected_slots() const {
-  return platform::injected_slot_count(config_.arch, /*stack_spill=*/true);
-}
-
-platform::SitePolicy AtomicsRuntime::site_policy() const {
-  return platform::SitePolicy{
-      .padded_slots = injected_slots(),
-      .pad_with_nops = config_.pad_with_nops,
-      .stack_spill = true,
-  };
+    : config_(config),
+      site_policy_{
+          .padded_slots = platform::injected_slot_count(config.arch,
+                                                        /*stack_spill=*/true),
+          .pad_with_nops = config.pad_with_nops,
+          .stack_spill = true,
+      },
+      counters_("cxx11.atomic.", access_point_names()) {
+  for (AccessPoint p : kAllAccessPoints) {
+    lowering_[static_cast<std::size_t>(p)] = access_lowering(p, config_.arch);
+  }
 }
 
 void AtomicsRuntime::access(sim::Cpu& cpu, AccessPoint p,
@@ -148,7 +147,7 @@ void AtomicsRuntime::access(sim::Cpu& cpu, AccessPoint p,
   // Every access point funnels through its injection, so this is the single
   // place each execution is counted.
   counters_.hit(static_cast<std::size_t>(p));
-  const Lowering low = access_lowering(p, config_.arch);
+  const Lowering& low = lowering_[static_cast<std::size_t>(p)];
   if (emits_instruction(low.before)) cpu.fence(low.before, site);
   if (line) {
     if (p == AccessPoint::RmwAcqRel) {
@@ -162,7 +161,7 @@ void AtomicsRuntime::access(sim::Cpu& cpu, AccessPoint p,
     }
   }
   if (emits_instruction(low.after)) cpu.fence(low.after, site);
-  platform::run_injection(cpu, config_.injection_for(p), site_policy());
+  platform::run_injection(cpu, config_.injection_for(p), site_policy_);
 }
 
 void AtomicsRuntime::load_relaxed(sim::Cpu& cpu, sim::LineId line,

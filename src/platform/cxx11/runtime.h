@@ -73,6 +73,8 @@ struct Lowering {
 
 Lowering access_lowering(AccessPoint p, sim::Arch arch);
 
+// The runtime's access points.  Every access point's lowering and the site
+// policy are resolved once at construction; an access only reads the table.
 class AtomicsRuntime {
  public:
   explicit AtomicsRuntime(const Cxx11Config& config);
@@ -94,14 +96,16 @@ class AtomicsRuntime {
   // The kernel has the analogous property: no scratch register is reserved
   // for instrumentation, so the cost function always spills (5 slots on ARM,
   // 6 on POWER).
-  std::uint32_t injected_slots() const;
-  platform::SitePolicy site_policy() const;
+  std::uint32_t injected_slots() const { return site_policy_.padded_slots; }
+  platform::SitePolicy site_policy() const { return site_policy_; }
 
  private:
   void access(sim::Cpu& cpu, AccessPoint p, const sim::LineId* line,
               bool store, std::uint64_t site) const;
 
   Cxx11Config config_;
+  std::array<Lowering, kNumAccessPoints> lowering_{};
+  platform::SitePolicy site_policy_;
   // Per-access-point execution counters ("cxx11.atomic.*"), resolved once at
   // construction so the emit path stays a direct increment.
   platform::SiteCounters counters_;

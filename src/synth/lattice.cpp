@@ -1,8 +1,15 @@
 #include "synth/lattice.h"
 
+#include <atomic>
 #include <stdexcept>
 
 namespace wmm::synth {
+
+namespace {
+
+std::atomic<std::uint64_t> g_lower_order_calls{0};
+
+}  // namespace
 
 std::string order_mask_name(OrderMask mask) {
   if (mask == kOrderNone) return "none";
@@ -116,6 +123,7 @@ const std::vector<sim::FenceKind>& fence_menu(sim::Arch arch, SiteIdiom idiom) {
 
 sim::FenceKind lower_order(OrderMask need, sim::Arch arch, SiteIdiom idiom,
                            sim::FenceKind absent) {
+  g_lower_order_calls.fetch_add(1, std::memory_order_relaxed);
   const OrderMask free = arch_free_order(arch);
   if (order_leq(need, free)) return absent;
   for (sim::FenceKind kind : fence_menu(arch, idiom)) {
@@ -129,6 +137,10 @@ sim::FenceKind lower_order(OrderMask need, sim::Arch arch, SiteIdiom idiom,
                               order_mask_name(need) + " on arch " +
                               std::to_string(static_cast<int>(arch)) + " (" +
                               site_idiom_name(idiom) + ")");
+}
+
+std::uint64_t lower_order_calls() {
+  return g_lower_order_calls.load(std::memory_order_relaxed);
 }
 
 }  // namespace wmm::synth

@@ -79,6 +79,11 @@ const std::vector<sim::FenceKind>& fence_menu(sim::Arch arch, SiteIdiom idiom);
 sim::FenceKind lower_order(OrderMask need, sim::Arch arch, SiteIdiom idiom,
                            sim::FenceKind absent);
 
+// Test hook: how many times lower_order has run in this process.  The
+// platform strategies resolve their tables at construction, so a simulation
+// run must leave this unchanged (tests/lowering_cache_test.cpp).
+std::uint64_t lower_order_calls();
+
 // A point in the per-program search lattice: one menu choice per fence slot.
 // `kinds[i]` is the instruction assigned to slot i (FenceKind::None = leave
 // the slot empty).  Comparisons are slot-wise on ordering class.

@@ -1,3 +1,8 @@
+#include <array>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "jvm/runtime.h"
@@ -79,6 +84,88 @@ TEST(Fencing, IrSequenceSubsumption) {
   // Release: ishld + ishst.
   const sim::FenceSeq rel = s.ir_sequence(IrBarrier::Release);
   ASSERT_EQ(rel.size(), 2u);
+}
+
+// Every resolved table under every StoreStore override, on every arch: the
+// IR sequences are built from the overridden elemental lowering, so a table
+// resolved before the override is applied would show here.
+TEST(Fencing, IrSequenceEveryBarrierArchAndOverride) {
+  using K = sim::FenceKind;
+  using Seqs = std::array<std::vector<K>, 5>;  // IrBarrier order
+  struct Row {
+    sim::Arch arch;
+    std::optional<K> storestore_override;
+    std::array<K, 4> lowering;  // Elemental order
+    Seqs ir;
+  };
+  // Volatile, Acquire, Release, LoadFence, StoreFence.
+  const Row rows[] = {
+      {sim::Arch::ARMV8, std::nullopt,
+       {K::DmbIshLd, K::DmbIshLd, K::DmbIsh, K::DmbIshSt},
+       Seqs{{{K::DmbIsh}, {K::DmbIshLd}, {K::DmbIshLd, K::DmbIshSt},
+             {K::DmbIshLd}, {K::DmbIshLd, K::DmbIshSt}}}},
+      {sim::Arch::ARMV8, K::DmbIsh,
+       {K::DmbIshLd, K::DmbIshLd, K::DmbIsh, K::DmbIsh},
+       Seqs{{{K::DmbIsh}, {K::DmbIshLd}, {K::DmbIshLd, K::DmbIsh},
+             {K::DmbIshLd}, {K::DmbIshLd, K::DmbIsh}}}},
+      {sim::Arch::ARMV8, K::HwSync,
+       {K::DmbIshLd, K::DmbIshLd, K::DmbIsh, K::HwSync},
+       Seqs{{{K::DmbIsh}, {K::DmbIshLd}, {K::DmbIshLd, K::HwSync},
+             {K::DmbIshLd}, {K::DmbIshLd, K::HwSync}}}},
+      {sim::Arch::POWER7, std::nullopt,
+       {K::LwSync, K::LwSync, K::HwSync, K::LwSync},
+       Seqs{{{K::HwSync}, {K::LwSync}, {K::LwSync}, {K::LwSync},
+             {K::LwSync}}}},
+      {sim::Arch::POWER7, K::DmbIsh,
+       {K::LwSync, K::LwSync, K::HwSync, K::DmbIsh},
+       Seqs{{{K::HwSync}, {K::LwSync}, {K::LwSync, K::DmbIsh}, {K::LwSync},
+             {K::LwSync, K::DmbIsh}}}},
+      {sim::Arch::POWER7, K::HwSync,
+       {K::LwSync, K::LwSync, K::HwSync, K::HwSync},
+       Seqs{{{K::HwSync}, {K::LwSync}, {K::LwSync, K::HwSync}, {K::LwSync},
+             {K::LwSync, K::HwSync}}}},
+      {sim::Arch::X86_TSO, std::nullopt,
+       {K::CompilerOnly, K::CompilerOnly, K::Mfence, K::CompilerOnly},
+       Seqs{{{K::Mfence}, {}, {}, {}, {}}}},
+      {sim::Arch::X86_TSO, K::DmbIsh,
+       {K::CompilerOnly, K::CompilerOnly, K::Mfence, K::DmbIsh},
+       Seqs{{{K::Mfence}, {}, {K::DmbIsh}, {}, {K::DmbIsh}}}},
+      {sim::Arch::X86_TSO, K::HwSync,
+       {K::CompilerOnly, K::CompilerOnly, K::Mfence, K::HwSync},
+       Seqs{{{K::Mfence}, {}, {K::HwSync}, {}, {K::HwSync}}}},
+      // SC: StoreLoad is free, and the subsumption rule keeps its
+      // compiler-only barrier as Volatile's sequence.
+      {sim::Arch::SC, std::nullopt,
+       {K::CompilerOnly, K::CompilerOnly, K::CompilerOnly, K::CompilerOnly},
+       Seqs{{{K::CompilerOnly}, {}, {}, {}, {}}}},
+      {sim::Arch::SC, K::DmbIsh,
+       {K::CompilerOnly, K::CompilerOnly, K::CompilerOnly, K::DmbIsh},
+       Seqs{{{K::CompilerOnly}, {}, {K::DmbIsh}, {}, {K::DmbIsh}}}},
+      {sim::Arch::SC, K::HwSync,
+       {K::CompilerOnly, K::CompilerOnly, K::CompilerOnly, K::HwSync},
+       Seqs{{{K::CompilerOnly}, {}, {K::HwSync}, {}, {K::HwSync}}}},
+  };
+  for (const Row& row : rows) {
+    JvmConfig c;
+    c.arch = row.arch;
+    c.storestore_override = row.storestore_override;
+    const FencingStrategy s(c);
+    SCOPED_TRACE(std::string(sim::arch_name(row.arch)) + " override=" +
+                 (row.storestore_override
+                      ? sim::fence_name(*row.storestore_override)
+                      : "none"));
+    for (Elemental e : kAllElementals) {
+      EXPECT_EQ(s.lowering(e), row.lowering[static_cast<std::size_t>(e)])
+          << elemental_name(e);
+    }
+    for (std::size_t b = 0; b < 5; ++b) {
+      std::vector<K> got;
+      for (const sim::FenceOp& op : s.ir_sequence(static_cast<IrBarrier>(b))) {
+        got.push_back(op.kind);
+      }
+      EXPECT_EQ(got, row.ir[b]) << ir_barrier_name(static_cast<IrBarrier>(b));
+    }
+  }
 }
 
 TEST(Fencing, InjectedSlotsPerArch) {

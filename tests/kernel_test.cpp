@@ -1,3 +1,6 @@
+#include <array>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "kernel/alloc.h"
@@ -60,6 +63,40 @@ TEST(KernelLowering, RbdStrategies) {
   EXPECT_EQ(KernelBarriers(arm_config(RbdStrategy::LaSr))
                 .lowering(KMacro::ReadBarrierDepends),
             sim::FenceKind::DmbIshLd);
+}
+
+// The read_barrier_depends strategy is an ARM experiment: on POWER and x86
+// every strategy leaves every macro on its lattice row.
+TEST(KernelLowering, RbdStrategyLeavesPowerAndX86OnTheirLatticeRows) {
+  using K = sim::FenceKind;
+  // kAllMacros order: smp_mb, smp_rmb, smp_wmb, mb, rmb, wmb, read_once,
+  // write_once, read_barrier_depends, smp_load_acquire, smp_store_release,
+  // smp_mb_before_atomic, smp_mb_after_atomic, smp_store_mb.
+  const std::array<K, kNumMacros> power = {
+      K::HwSync,       K::LwSync,       K::LwSync, K::HwSync, K::LwSync,
+      K::LwSync,       K::CompilerOnly, K::CompilerOnly,
+      K::CompilerOnly, K::ISync,        K::LwSync, K::HwSync, K::HwSync,
+      K::HwSync};
+  const std::array<K, kNumMacros> x86 = {
+      K::Mfence,       K::CompilerOnly, K::CompilerOnly, K::Mfence,
+      K::CompilerOnly, K::CompilerOnly, K::CompilerOnly, K::CompilerOnly,
+      K::CompilerOnly, K::CompilerOnly, K::CompilerOnly, K::CompilerOnly,
+      K::CompilerOnly, K::Mfence};
+  const std::pair<sim::Arch, const std::array<K, kNumMacros>*> arches[] = {
+      {sim::Arch::POWER7, &power}, {sim::Arch::X86_TSO, &x86}};
+  for (const auto& [arch, row] : arches) {
+    for (RbdStrategy rbd : kAllRbdStrategies) {
+      KernelConfig c;
+      c.arch = arch;
+      c.rbd = rbd;
+      const KernelBarriers b(c);
+      for (KMacro m : kAllMacros) {
+        EXPECT_EQ(b.lowering(m), (*row)[static_cast<std::size_t>(m)])
+            << sim::arch_name(arch) << " " << rbd_strategy_name(rbd) << " "
+            << macro_name(m);
+      }
+    }
+  }
 }
 
 TEST(KernelLowering, LaSrUpgradesReadWriteOnce) {
