@@ -1,14 +1,13 @@
-// Per-enumeration arena allocator and packed outcome set for the operational
-// litmus executor's hot loop.
+// Per-enumeration arena allocator and packed tuple set for the operational
+// litmus executor's search.
 //
-// One outcome enumeration touches thousands-to-millions of interleavings; the
-// pre-rewrite executor paid a handful of `new`/`delete` pairs per
-// interleaving (per-write visibility vectors, observed lists, the
-// std::set<std::vector<int>> node per outcome probe).  The arena replaces all
-// of that with bump allocation out of a chunk that is *reused* across
-// enumerations: the first enumeration on a thread sizes the chunk, every
-// later one of the same shape runs allocation-free.  Litmus-scale programs
-// fit in the inline first chunk and never touch the heap at all.
+// One outcome enumeration is a search over thousands of machine states.  The
+// arena holds everything the search indexes by event, write or depth (the
+// event columns, the commit-order masks, one state block per depth) in bump
+// allocation out of a chunk that is *reused* across enumerations: the first
+// enumeration on a thread sizes the chunk, every later one of the same shape
+// runs allocation-free.  Litmus-scale programs fit in the inline first chunk
+// and never touch the heap at all.
 //
 // Lifetime rules (see docs/simulator.md, "Arena lifetime rules"):
 //   - All allocations are trivially-destructible PODs; the arena never runs
@@ -138,129 +137,75 @@ class Arena {
   ArenaStats stats_;
 };
 
-// Growable POD array over an arena (size/capacity in elements).  Growth
-// copy-allocates; the old span is arena garbage until the next reset, which
-// is the deal the executor signs: capacities are sized up-front on the hot
-// path so growth only happens while a shape is first seen.
-template <typename T>
-class ArenaVec {
+// Deduplicating set of fixed-width uint32 tuples, open addressing.  Distinct
+// tuples are appended to a flat pool (`entry(i)` = i-th distinct tuple in
+// first-seen order); the hash table stores pool indices + 1.  The enumerator
+// keeps two per thread, one for packed outcomes and one for its visited
+// states: their storage is plain vectors owned by the set, so `reset` keeps
+// the capacity the largest program so far needed and a steady workload
+// inserts without allocating, and a grown table leaves no dead copies behind
+// (the arena would hold every outgrown pool and table until its reset).
+class PackedTupleSet {
  public:
-  void init(Arena& arena, std::size_t capacity) {
-    data_ = arena.alloc<T>(capacity ? capacity : 1);
-    cap_ = capacity ? capacity : 1;
-    size_ = 0;
-  }
-  void clear() { size_ = 0; }
-  void push_back(Arena& arena, T v) {
-    if (size_ == cap_) {
-      T* bigger = arena.alloc<T>(cap_ * 2);
-      std::memcpy(static_cast<void*>(bigger), data_, size_ * sizeof(T));
-      data_ = bigger;
-      cap_ *= 2;
-    }
-    data_[size_++] = v;
-  }
-  T* data() { return data_; }
-  const T* data() const { return data_; }
-  std::size_t size() const { return size_; }
-  T& operator[](std::size_t i) { return data_[i]; }
-  const T& operator[](std::size_t i) const { return data_[i]; }
-
- private:
-  T* data_ = nullptr;
-  std::size_t size_ = 0;
-  std::size_t cap_ = 0;
-};
-
-// Deduplicating set of fixed-width int32 tuples (packed outcomes), open
-// addressing over arena storage.  Distinct entries are appended to a flat
-// pool (`entry(i)` = i-th distinct outcome in first-seen order); the hash
-// table stores pool indices.  Replaces std::set<std::vector<int>> on the
-// per-interleaving path: no node allocation, no per-probe vector compare
-// through two pointer hops.
-class PackedOutcomeSet {
- public:
-  void init(Arena& arena, std::uint32_t width) {
-    arena_ = &arena;
+  // Empty the set for tuples of `width` words; keeps the storage.
+  void reset(std::uint32_t width) {
     width_ = width;
     count_ = 0;
-    pool_cap_ = 64;
-    pool_ = arena.alloc<std::int32_t>(static_cast<std::size_t>(pool_cap_) *
-                                      (width_ ? width_ : 1));
-    table_mask_ = 127;
-    table_ = arena.alloc_zero<std::uint32_t>(table_mask_ + 1);
+    pool_.clear();
+    table_.assign(kInitialSlots, 0);
+    mask_ = kInitialSlots - 1;
   }
 
-  // Insert the `width()` ints at `v`; returns true when the tuple is new.
-  bool insert(const std::int32_t* v) {
-    const std::uint64_t h = hash(v);
-    std::size_t slot = static_cast<std::size_t>(h) & table_mask_;
-    while (true) {
-      const std::uint32_t e = table_[slot];
-      if (e == 0) break;
-      const std::int32_t* stored =
-          pool_ + static_cast<std::size_t>(e - 1) * width_;
+  // Insert the tuple at `v`; returns true when it is new.
+  bool insert(const std::uint32_t* v) {
+    std::size_t slot = static_cast<std::size_t>(hash(v)) & mask_;
+    for (std::uint32_t e; (e = table_[slot]) != 0; slot = (slot + 1) & mask_) {
       if (width_ == 0 ||
-          std::memcmp(stored, v, width_ * sizeof(std::int32_t)) == 0) {
+          std::memcmp(entry(e - 1), v, width_ * sizeof(std::uint32_t)) == 0) {
         return false;
       }
-      slot = (slot + 1) & table_mask_;
     }
-    if (count_ == pool_cap_) grow_pool();
-    std::memcpy(pool_ + static_cast<std::size_t>(count_) * width_, v,
-                width_ * sizeof(std::int32_t));
+    pool_.insert(pool_.end(), v, v + width_);
     table_[slot] = ++count_;
-    if (static_cast<std::size_t>(count_) * 10 > (table_mask_ + 1) * 7) {
-      rehash();
-    }
+    if (static_cast<std::size_t>(count_) * 10 > (mask_ + 1) * 7) rehash();
     return true;
   }
 
   std::uint32_t size() const { return count_; }
-  std::uint32_t width() const { return width_; }
-  const std::int32_t* entry(std::uint32_t i) const {
-    return pool_ + static_cast<std::size_t>(i) * width_;
+  const std::uint32_t* entry(std::uint32_t i) const {
+    return pool_.data() + static_cast<std::size_t>(i) * width_;
+  }
+  std::size_t reserved_bytes() const {
+    return (pool_.capacity() + table_.capacity()) * sizeof(std::uint32_t);
   }
 
  private:
-  std::uint64_t hash(const std::int32_t* v) const {
-    std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the int columns
+  static constexpr std::size_t kInitialSlots = 128;
+
+  std::uint64_t hash(const std::uint32_t* v) const {
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
     for (std::uint32_t i = 0; i < width_; ++i) {
-      h ^= static_cast<std::uint32_t>(v[i]);
-      h *= 0x100000001b3ULL;
+      h = (h ^ v[i]) * 0xff51afd7ed558ccdULL;
+      h ^= h >> 32;
     }
-    h ^= h >> 32;
     return h;
   }
 
-  void grow_pool() {
-    std::int32_t* bigger = arena_->alloc<std::int32_t>(
-        static_cast<std::size_t>(pool_cap_) * 2 * (width_ ? width_ : 1));
-    std::memcpy(bigger, pool_,
-                static_cast<std::size_t>(count_) * width_ * sizeof(std::int32_t));
-    pool_ = bigger;
-    pool_cap_ *= 2;
-  }
-
   void rehash() {
-    const std::size_t new_size = (table_mask_ + 1) * 2;
-    table_ = arena_->alloc_zero<std::uint32_t>(new_size);
-    table_mask_ = new_size - 1;
+    table_.assign((mask_ + 1) * 2, 0);
+    mask_ = table_.size() - 1;
     for (std::uint32_t e = 1; e <= count_; ++e) {
-      const std::int32_t* v = pool_ + static_cast<std::size_t>(e - 1) * width_;
-      std::size_t slot = static_cast<std::size_t>(hash(v)) & table_mask_;
-      while (table_[slot] != 0) slot = (slot + 1) & table_mask_;
+      std::size_t slot = static_cast<std::size_t>(hash(entry(e - 1))) & mask_;
+      while (table_[slot] != 0) slot = (slot + 1) & mask_;
       table_[slot] = e;
     }
   }
 
-  Arena* arena_ = nullptr;
   std::uint32_t width_ = 0;
   std::uint32_t count_ = 0;
-  std::uint32_t pool_cap_ = 0;
-  std::int32_t* pool_ = nullptr;
-  std::size_t table_mask_ = 0;
-  std::uint32_t* table_ = nullptr;
+  std::vector<std::uint32_t> pool_;
+  std::vector<std::uint32_t> table_;
+  std::size_t mask_ = 0;
 };
 
 }  // namespace wmm::sim

@@ -1,6 +1,6 @@
 #include "sim/memory_model.h"
 
-#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -90,8 +90,6 @@ bool must_commit_in_order(const LitmusThread& thread, std::size_t i,
 
 namespace {
 
-constexpr int kNever = 1 << 28;
-
 // Precomputed per-event commit behaviour (SoA columns over flat event ids).
 enum : std::uint8_t {
   kEvWrite = 0,
@@ -100,14 +98,20 @@ enum : std::uint8_t {
   kEvFenceOther = 3,  // commit-order node with no commit-time effect (lwsync)
 };
 
-// The per-thread enumeration workspace: one arena reused across calls plus a
-// running enumeration count.  Thread-local so concurrent par_map workers
-// never share mutable state; nothing here touches the obs counter registry.
+// The per-thread enumeration workspace: one arena and two tuple sets reused
+// across calls, plus running search totals.  Thread-local so concurrent
+// par_map workers never share mutable state; nothing here touches the obs
+// counter registry.
 struct EnumWorkspace {
   static constexpr std::size_t kInlineBytes = 64 * 1024;
   alignas(64) std::byte inline_chunk[kInlineBytes];
   Arena arena{inline_chunk, kInlineBytes};
+  PackedTupleSet visited;   // packed keys of the expanded states
+  PackedTupleSet outcomes;  // packed final states
   std::uint64_t enumerations = 0;
+  std::uint64_t states = 0;
+  std::uint64_t memo_hits = 0;
+  std::uint64_t leaves = 0;
 };
 
 EnumWorkspace& workspace() {
@@ -115,99 +119,116 @@ EnumWorkspace& workspace() {
   return ws;
 }
 
-// Every column the step loop touches, allocated out of the arena up-front so
-// the per-interleaving path performs no allocation at all.  Integer columns
-// throughout: the executor never chases a pointer into LitmusInstr on the
-// hot path.
+// One machine state of the search, a view into that depth's block of the
+// arena.  Writes are named by their slot (0..W-1, in event order).  A
+// register or a variable holds the slot + 1 of the write whose value it
+// took, 0 for the initial value.
+struct State {
+  std::uint64_t* done;   // T: committed commit-order nodes of each thread
+  std::int32_t* regs;    // R
+  std::int32_t* last;    // V: coherence-latest committed write
+  // Forwarding (POWER) only:
+  std::int32_t* rank;    // W: coherence rank of the write, -1 uncommitted
+  std::uint32_t* vis;    // W: threads the write is visible to
+  std::uint32_t* seen;   // T: writes the thread has observed (cumulativity)
+  std::int32_t* floor;   // T*V: highest rank the thread has read, -1 none
+};
+
+// Appends fixed-width bit fields to a packed key.
+struct KeyWriter {
+  std::uint32_t* out;
+  std::uint64_t acc = 0;
+  int fill = 0;
+  void put(std::uint64_t v, int bits) {  // bits <= 32
+    acc |= v << fill;
+    fill += bits;
+    if (fill >= 32) {
+      *out++ = static_cast<std::uint32_t>(acc);
+      acc >>= 32;
+      fill -= 32;
+    }
+  }
+  void put_wide(std::uint64_t v, int bits) {  // bits <= 64
+    put(v & 0xFFFFFFFFu, bits < 32 ? bits : 32);
+    if (bits > 32) put(v >> 32, bits - 32);
+  }
+  void flush() {
+    if (fill > 0) *out++ = static_cast<std::uint32_t>(acc);
+  }
+};
+
+// Everything the search reads, allocated out of the arena before it starts.
+// Integer columns throughout: the search never chases a pointer into
+// LitmusInstr.
 struct Enumeration {
   const LitmusTest* test = nullptr;
+  EnumWorkspace* ws = nullptr;
+  // Writes become visible to threads one by one (POWER with more than one
+  // thread and a write); otherwise a committed write is visible everywhere
+  // at once.
   bool forwarding = false;
-  Arena* arena = nullptr;
 
   int T = 0;  // threads
   int V = 0;  // shared variables
   int R = 0;  // registers
-  int L = 0;  // outcome width = R + V
-  int E = 0;  // total instruction events
+  int W = 0;  // writes
+  int N = 0;  // commit-order nodes over all threads
 
   // Flat event columns; event id = thread_base[t] + instruction index.
   int* thread_base = nullptr;
   std::uint8_t* ev_kind = nullptr;
-  int* ev_tid = nullptr;
   int* ev_var = nullptr;
-  int* ev_val = nullptr;
   int* ev_reg = nullptr;
+  int* ev_slot = nullptr;           // write slot, -1 for non-writes
   std::uint8_t* ev_push = nullptr;  // write triggers a cumulativity push
-  int* ev_delay_base = nullptr;     // write -> first delay-slot bit, -1 none
-  int delay_bits = 0;
 
-  // Per-thread commit orders, flattened: thread t owns order_count[t]
-  // sequences of order_len[t] flat event ids each, stored back to back in
-  // order_pool starting at order_base[t].
-  int* order_len = nullptr;
-  std::size_t* order_base = nullptr;
-  std::size_t* order_count = nullptr;
-  ArenaVec<int> order_pool;
-
-  // Execution scratch, capacities fixed before the product loop starts.
-  int* seq = nullptr;            // current global commit sequence
-  int* regs = nullptr;           // R (zeroed once: every leaf writes the
-                                 // same register set)
-  std::int32_t* outcome = nullptr;  // L packing scratch
-
-  // Non-forwarding fast path: last committed write per variable.
-  int* var_val = nullptr;           // V
-  std::uint8_t* var_has = nullptr;  // V
-
-  // Forwarding (POWER) path: committed-write columns, capacity E.
-  int* w_pos = nullptr;
-  int* w_tid = nullptr;
-  int* w_var = nullptr;
+  // Write columns by slot, and the slots writing each variable.
   int* w_val = nullptr;
-  int* w_prev = nullptr;     // previous write to the same variable
-  int* w_visfrom = nullptr;  // [write * T + reader], stride T
-  int* var_last = nullptr;   // V: latest write per variable, -1 none
-  int* obs_pool = nullptr;   // per-thread observed-write lists, capacity E
-  int* obs_base = nullptr;   // T
-  int* obs_count = nullptr;  // T
-  int* seen_floor = nullptr;  // [tid * V + var] coherence floor
-  std::uint32_t delay_mask = 0;
+  int* w_var = nullptr;
+  int* var_writes = nullptr;
+  int* var_wbase = nullptr;  // V + 1
 
-  PackedOutcomeSet outcomes;
+  // Commit-order nodes: thread t owns nodes node_base[t]..node_base[t+1)-1.
+  // node_pred[n] bit k set <=> the thread's node k must commit before n.
+  int* node_base = nullptr;  // T + 1
+  int* node_event = nullptr;
+  std::uint64_t* node_pred = nullptr;
+  // Forwarding only: the nodes of thread t that read variable v
+  // ([t * V + v]), and those that publish its observed writes (full
+  // barriers and pushing writes).
+  std::uint64_t* read_nodes = nullptr;
+  std::uint64_t* publish_nodes = nullptr;
+
+  // One state block per search depth, block_bytes apart.
+  std::byte* blocks = nullptr;
+  std::size_t block_bytes = 0;
+  std::size_t off_regs = 0, off_last = 0, off_rank = 0, off_vis = 0,
+              off_seen = 0, off_floor = 0;
+
+  std::uint32_t all_threads = 0;  // visibility mask of a published write
+  int id_bits = 0;                // key bits of a write slot + 1 (or rank + 1)
+  std::uint32_t* key = nullptr;      // block_bytes / 4 words: never fuller
+  std::uint32_t* readers = nullptr;  // pack_key scratch, V
+  std::uint32_t* outcome = nullptr;  // R + V packing scratch
+
+  State state(int depth) const {
+    std::byte* b = blocks + static_cast<std::size_t>(depth) * block_bytes;
+    return State{reinterpret_cast<std::uint64_t*>(b),
+                 reinterpret_cast<std::int32_t*>(b + off_regs),
+                 reinterpret_cast<std::int32_t*>(b + off_last),
+                 reinterpret_cast<std::int32_t*>(b + off_rank),
+                 reinterpret_cast<std::uint32_t*>(b + off_vis),
+                 reinterpret_cast<std::uint32_t*>(b + off_seen),
+                 reinterpret_cast<std::int32_t*>(b + off_floor)};
+  }
+  int node_count(int t) const { return node_base[t + 1] - node_base[t]; }
 };
 
-// Linear extensions of one thread's commit DAG, emitted into the flat order
-// pool.  `pred[k]` is node k's predecessor bitmask, so per-step readiness is
-// one mask intersection; bits are visited in ascending node order, which
-// fixes the emission order deterministically (docs/simulator.md,
-// "Enumeration order").
-void emit_linear_extensions(const int* nodes, const std::uint64_t* pred,
-                            std::size_t n, std::uint64_t done, int* current,
-                            std::size_t depth, Arena& arena,
-                            ArenaVec<int>& pool, std::size_t& count) {
-  if (depth == n) {
-    for (std::size_t i = 0; i < n; ++i) pool.push_back(arena, current[i]);
-    ++count;
-    return;
-  }
-  const std::uint64_t all = n >= 64 ? ~0ULL : ((1ULL << n) - 1ULL);
-  for (std::uint64_t avail = all & ~done; avail != 0; avail &= avail - 1) {
-    const int k = __builtin_ctzll(avail);
-    if ((pred[static_cast<std::size_t>(k)] & ~done) != 0) continue;
-    current[depth] = nodes[k];
-    emit_linear_extensions(nodes, pred, n, done | (1ULL << k), current,
-                           depth + 1, arena, pool, count);
-  }
-}
-
-// Commit-order nodes and edges for thread `t`, then all linear extensions
-// into the shared pool.
+// Commit-order nodes and their predecessor masks for thread `t`.
 void build_thread_orders(Enumeration& en, int t, Arch arch) {
   const LitmusThread& thread = en.test->threads[static_cast<std::size_t>(t)];
-  Arena& arena = *en.arena;
 
   int node_instr[64];
-  int nodes[64];
   std::size_t n = 0;
   for (std::size_t i = 0; i < thread.instrs.size(); ++i) {
     const LitmusInstr& in = thread.instrs[i];
@@ -221,15 +242,21 @@ void build_thread_orders(Enumeration& en, int t, Arch arch) {
             "litmus thread too large for commit-order masks");
       }
       node_instr[n] = static_cast<int>(i);
-      nodes[n] = en.thread_base[t] + static_cast<int>(i);
+      const int e = en.thread_base[t] + static_cast<int>(i);
+      en.node_event[en.node_base[t] + static_cast<int>(n)] = e;
+      if (is_read(in)) en.read_nodes[t * en.V + in.var] |= 1ULL << n;
+      if (en.ev_kind[e] == kEvFenceFull || en.ev_push[e]) {
+        en.publish_nodes[t] |= 1ULL << n;
+      }
       ++n;
     }
   }
+  en.node_base[t + 1] = en.node_base[t] + static_cast<int>(n);
 
   // pred[b] bit a set <=> node a must commit before node b.
-  std::uint64_t pred[64];
+  std::uint64_t* pred = en.node_pred + en.node_base[t];
   std::memset(pred, 0, n * sizeof(std::uint64_t));
-  const auto add_edge = [&pred](std::size_t a, std::size_t b) {
+  const auto add_edge = [pred](std::size_t a, std::size_t b) {
     pred[b] |= 1ULL << a;
   };
   for (std::size_t a = 0; a < n; ++a) {
@@ -260,187 +287,183 @@ void build_thread_orders(Enumeration& en, int t, Arch arch) {
       if (must_commit_in_order(thread, i, j, arch)) add_edge(a, b);
     }
   }
-
-  en.order_len[t] = static_cast<int>(n);
-  en.order_base[t] = en.order_pool.size();
-  std::size_t count = 0;
-  int current[64];
-  emit_linear_extensions(nodes, pred, n, 0, current, 0, arena, en.order_pool,
-                         count);
-  en.order_count[t] = count;
 }
 
-// Pack and deduplicate the final state: registers, then the coherence-latest
-// value of each variable.
-inline void record_outcome_tail_fast(Enumeration& en) {
-  for (int v = 0; v < en.V; ++v) {
-    en.outcome[en.R + v] = en.var_has[v] ? en.var_val[v] : 0;
-  }
-}
-
-// One interleaving under the non-forwarding semantics (SC / TSO / ARMv8):
-// a committed write is immediately visible to every thread, so a read
-// returns the latest committed write to its variable and the visibility,
-// observed-set, and coherence-floor machinery all collapse away.
-void execute_fast(Enumeration& en, int seq_len) {
-  std::memset(en.var_has, 0, static_cast<std::size_t>(en.V));
-  for (int pos = 0; pos < seq_len; ++pos) {
-    const int e = en.seq[pos];
-    const std::uint8_t kind = en.ev_kind[e];
-    if (kind == kEvWrite) {
-      const int v = en.ev_var[e];
-      en.var_val[v] = en.ev_val[e];
-      en.var_has[v] = 1;
-    } else if (kind == kEvRead) {
-      const int v = en.ev_var[e];
-      const int r = en.ev_reg[e];
-      if (r >= 0) en.regs[r] = en.var_has[v] ? en.var_val[v] : 0;
-    }
-  }
-  for (int r = 0; r < en.R; ++r) en.outcome[r] = en.regs[r];
-  record_outcome_tail_fast(en);
-  en.outcomes.insert(en.outcome);
-}
-
-// One interleaving under the forwarding semantics (POWER): per-write
-// visibility columns with delay choices, cumulative pushes at WW-ordering
-// barriers, and full-barrier catch-up — the exact semantics of the previous
-// implementation over SoA columns.  Reads walk the per-variable write chain
-// newest-first, so the first visible-or-floored write IS the coherence-latest
-// candidate.
-void execute_forwarding(Enumeration& en, int seq_len) {
-  const int T = en.T;
-  const int V = en.V;
-  int nw = 0;
-  std::memset(en.var_last, 0xFF, static_cast<std::size_t>(V) * sizeof(int));
-  std::memset(en.seen_floor, 0xFF,
-              static_cast<std::size_t>(T) * static_cast<std::size_t>(V) *
-                  sizeof(int));
-  std::memset(en.obs_count, 0, static_cast<std::size_t>(T) * sizeof(int));
-
-  for (int pos = 0; pos < seq_len; ++pos) {
-    const int e = en.seq[pos];
-    const int tid = en.ev_tid[e];
-    switch (en.ev_kind[e]) {
-      case kEvWrite: {
-        const int v = en.ev_var[e];
-        const int wi = nw++;
-        en.w_pos[wi] = pos;
-        en.w_tid[wi] = tid;
-        en.w_var[wi] = v;
-        en.w_val[wi] = en.ev_val[e];
-        int* vf = en.w_visfrom + static_cast<std::size_t>(wi) * T;
-        for (int r = 0; r < T; ++r) vf[r] = pos;
-        if (const int db = en.ev_delay_base[e]; db >= 0) {
-          // Delay choices: visibility to reader r withheld until a push or
-          // catch-up (early forwarding to everyone else).
-          int off = 0;
-          for (int r = 0; r < T; ++r) {
-            if (r == tid) continue;
-            if ((en.delay_mask >> (db + off)) & 1u) vf[r] = kNever;
-            ++off;
-          }
-        }
-        en.w_prev[wi] = en.var_last[v];
-        en.var_last[v] = wi;
-        en.obs_pool[en.obs_base[tid] + en.obs_count[tid]++] = wi;
-        if (en.ev_push[e]) {
-          // Cumulativity: writes this thread had observed before a
-          // WW-ordering fence (or this release store) propagate everywhere
-          // no later than this commit.
-          const int* items = en.obs_pool + en.obs_base[tid];
-          const int cnt = en.obs_count[tid];
-          for (int i = 0; i < cnt; ++i) {
-            int* vfo = en.w_visfrom + static_cast<std::size_t>(items[i]) * T;
-            for (int r = 0; r < T; ++r) {
-              if (pos < vfo[r]) vfo[r] = pos;
-            }
-          }
-        }
-        break;
-      }
-      case kEvRead: {
-        const int v = en.ev_var[e];
-        const int floor = en.seen_floor[tid * V + v];
-        int best = -1;
-        for (int wi = en.var_last[v]; wi >= 0; wi = en.w_prev[wi]) {
-          const bool visible =
-              en.w_tid[wi] == tid ||
-              en.w_visfrom[static_cast<std::size_t>(wi) * T + tid] <= pos;
-          if (visible || en.w_pos[wi] <= floor) {
-            best = wi;
-            break;
-          }
-        }
-        int value = 0;
-        if (best >= 0) {
-          value = en.w_val[best];
-          if (en.w_pos[best] > floor) en.seen_floor[tid * V + v] = en.w_pos[best];
-          en.obs_pool[en.obs_base[tid] + en.obs_count[tid]++] = best;
-        }
-        if (en.ev_reg[e] >= 0) en.regs[en.ev_reg[e]] = value;
-        break;
-      }
-      case kEvFenceFull: {
-        // Full barrier: cumulative group-A push of the thread's observed
-        // writes to everyone, then catch-up of this thread on everything
-        // committed so far (sync / dmb ish / mfence semantics).
-        const int* items = en.obs_pool + en.obs_base[tid];
-        const int cnt = en.obs_count[tid];
-        for (int i = 0; i < cnt; ++i) {
-          int* vfo = en.w_visfrom + static_cast<std::size_t>(items[i]) * T;
-          for (int r = 0; r < T; ++r) {
-            if (pos < vfo[r]) vfo[r] = pos;
-          }
-        }
-        for (int wi = 0; wi < nw; ++wi) {
-          int& x = en.w_visfrom[static_cast<std::size_t>(wi) * T + tid];
-          if (pos < x) x = pos;
-        }
-        break;
-      }
-      default:
-        break;  // weak fence node: no commit-time effect
-    }
-  }
-
-  for (int r = 0; r < en.R; ++r) en.outcome[r] = en.regs[r];
-  for (int v = 0; v < V; ++v) {
-    const int wi = en.var_last[v];
-    en.outcome[en.R + v] = wi >= 0 ? en.w_val[wi] : 0;
-  }
-  en.outcomes.insert(en.outcome);
-}
-
-void execute_with_delays(Enumeration& en, int seq_len) {
-  if (!en.forwarding) {
-    execute_fast(en, seq_len);
-    return;
-  }
-  if (en.delay_bits == 0) {
-    en.delay_mask = 0;
-    execute_forwarding(en, seq_len);
-    return;
-  }
-  for (std::uint64_t mask = 0; mask < (1ULL << en.delay_bits); ++mask) {
-    en.delay_mask = static_cast<std::uint32_t>(mask);
-    execute_forwarding(en, seq_len);
-  }
-}
-
-void interleave(Enumeration& en, const int* const* chosen,
-                const int* chosen_len, int* cursor, int depth) {
-  bool done = true;
+// The threads that still have a read of `v` to commit.
+std::uint32_t live_readers(const Enumeration& en, const State& s, int v) {
+  std::uint32_t readers = 0;
   for (int t = 0; t < en.T; ++t) {
-    if (cursor[t] < chosen_len[t]) {
-      done = false;
-      en.seq[depth] = chosen[t][cursor[t]];
-      ++cursor[t];
-      interleave(en, chosen, chosen_len, cursor, depth + 1);
-      --cursor[t];
+    if (en.read_nodes[t * en.V + v] & ~s.done[t]) readers |= 1u << t;
+  }
+  return readers;
+}
+
+// The exact, position-free key of a state, packed into `en.key`; returns its
+// width in words.  Done masks and registers first, then the memory.  Without
+// forwarding the memory is the latest write per variable; with it, each
+// write's coherence rank and visibility, each thread's observed writes and
+// coherence floors.  A field no remaining event reads is packed as 0, so
+// states that differ only there share a key: a thread's floor on a variable
+// and its bit in the visibility of that variable's writes once it has no
+// read of the variable left, and its observed writes once it has nothing
+// left to publish them.
+std::uint32_t pack_key(const Enumeration& en, const State& s) {
+  KeyWriter kw{en.key};
+  for (int t = 0; t < en.T; ++t) kw.put_wide(s.done[t], en.node_count(t));
+  for (int r = 0; r < en.R; ++r) kw.put(static_cast<std::uint32_t>(s.regs[r]), en.id_bits);
+  if (!en.forwarding) {
+    for (int v = 0; v < en.V; ++v) kw.put(static_cast<std::uint32_t>(s.last[v]), en.id_bits);
+  } else {
+    for (int v = 0; v < en.V; ++v) en.readers[v] = live_readers(en, s, v);
+    for (int w = 0; w < en.W; ++w) {
+      kw.put(static_cast<std::uint32_t>(s.rank[w] + 1), en.id_bits);
+      kw.put(s.vis[w] & en.readers[en.w_var[w]], en.T);
+    }
+    for (int t = 0; t < en.T; ++t) {
+      kw.put((en.publish_nodes[t] & ~s.done[t]) ? s.seen[t] : 0, en.W);
+      for (int v = 0; v < en.V; ++v) {
+        const bool live = (en.readers[v] >> t) & 1u;
+        kw.put(live ? static_cast<std::uint32_t>(s.floor[t * en.V + v] + 1) : 0,
+               en.id_bits);
+      }
     }
   }
-  if (done) execute_with_delays(en, depth);
+  kw.flush();
+  return static_cast<std::uint32_t>(kw.out - en.key);
+}
+
+// Cumulativity: every write in `writes` becomes visible to all threads.
+inline void publish(const Enumeration& en, const State& s, std::uint32_t writes) {
+  for (; writes != 0; writes &= writes - 1) {
+    s.vis[__builtin_ctz(writes)] = en.all_threads;
+  }
+}
+
+// Commit event `e` of thread `t` into state `s`.  A forwarded write stays
+// withheld from the threads in `withheld` until a push or their catch-up
+// makes it visible.
+void commit(const Enumeration& en, const State& s, int t, int e,
+            std::uint32_t withheld) {
+  switch (en.ev_kind[e]) {
+    case kEvWrite: {
+      const int w = en.ev_slot[e];
+      const int v = en.ev_var[e];
+      if (en.forwarding) {
+        s.rank[w] = s.last[v] != 0 ? s.rank[s.last[v] - 1] + 1 : 0;
+        s.vis[w] = en.all_threads & ~withheld;
+        s.seen[t] |= 1u << w;
+        // Writes this thread had observed before a WW-ordering fence (or
+        // this release store) propagate everywhere no later than this one.
+        if (en.ev_push[e]) publish(en, s, s.seen[t]);
+      }
+      s.last[v] = w + 1;
+      break;
+    }
+    case kEvRead: {
+      const int v = en.ev_var[e];
+      std::int32_t got = s.last[v];
+      if (en.forwarding) {
+        // The coherence-latest write that is visible to this thread or at
+        // or below its coherence floor (the floor write always qualifies).
+        std::int32_t& floor = s.floor[t * en.V + v];
+        int best = -1;
+        int best_rank = -1;
+        for (int i = en.var_wbase[v]; i < en.var_wbase[v + 1]; ++i) {
+          const int w = en.var_writes[i];
+          const int rank = s.rank[w];
+          if (rank > best_rank && (((s.vis[w] >> t) & 1u) || rank <= floor)) {
+            best = w;
+            best_rank = rank;
+          }
+        }
+        got = best + 1;
+        if (best >= 0) {
+          if (best_rank > floor) floor = best_rank;
+          s.seen[t] |= 1u << best;
+        }
+      }
+      if (en.ev_reg[e] >= 0) s.regs[en.ev_reg[e]] = got;
+      break;
+    }
+    case kEvFenceFull:
+      if (en.forwarding) {
+        // Cumulative group-A push of the thread's observed writes to
+        // everyone, then catch-up of this thread on every committed write
+        // (sync / dmb ish / mfence semantics).
+        publish(en, s, s.seen[t]);
+        for (int w = 0; w < en.W; ++w) {
+          if (s.rank[w] >= 0) s.vis[w] |= 1u << t;
+        }
+      }
+      break;
+    default:
+      break;  // weak fence node: no commit-time effect
+  }
+}
+
+void record_outcome(Enumeration& en, const State& s) {
+  for (int r = 0; r < en.R; ++r) {
+    en.outcome[r] = s.regs[r] ? static_cast<std::uint32_t>(en.w_val[s.regs[r] - 1]) : 0;
+  }
+  for (int v = 0; v < en.V; ++v) {
+    en.outcome[en.R + v] =
+        s.last[v] ? static_cast<std::uint32_t>(en.w_val[s.last[v] - 1]) : 0;
+  }
+  en.ws->outcomes.insert(en.outcome);
+}
+
+void expand(Enumeration& en, int depth);
+
+// The state at `depth` was just reached: record it if final, else expand it
+// unless an earlier path already did.
+void visit(Enumeration& en, int depth) {
+  const State s = en.state(depth);
+  if (depth == en.N) {
+    ++en.ws->leaves;
+    record_outcome(en, s);
+    return;
+  }
+  pack_key(en, s);
+  if (!en.ws->visited.insert(en.key)) {
+    ++en.ws->memo_hits;
+    return;
+  }
+  ++en.ws->states;
+  expand(en, depth);
+}
+
+// Every transition out of the state at `depth`: commit any ready node of any
+// thread.  A forwarded write also chooses the threads it stays withheld
+// from, among the other threads that still read its variable: withholding
+// it from any other thread changes nothing later.
+void expand(Enumeration& en, int depth) {
+  const State s = en.state(depth);
+  const std::byte* parent = reinterpret_cast<const std::byte*>(s.done);
+  std::byte* child = en.blocks + static_cast<std::size_t>(depth + 1) * en.block_bytes;
+  for (int t = 0; t < en.T; ++t) {
+    const std::uint64_t done = s.done[t];
+    const int count = en.node_count(t);
+    const std::uint64_t all = count >= 64 ? ~0ULL : (1ULL << count) - 1;
+    for (std::uint64_t ready = all & ~done; ready != 0; ready &= ready - 1) {
+      const int k = __builtin_ctzll(ready);
+      const int n = en.node_base[t] + k;
+      if ((en.node_pred[n] & ~done) != 0) continue;
+      const int e = en.node_event[n];
+      const std::uint32_t choices =
+          en.forwarding && en.ev_kind[e] == kEvWrite
+              ? live_readers(en, s, en.ev_var[e]) & ~(1u << t)
+              : 0;
+      std::uint32_t withheld = 0;  // every subset of `choices`, ascending
+      do {
+        std::memcpy(child, parent, en.block_bytes);
+        const State c = en.state(depth + 1);
+        c.done[t] |= 1ULL << k;
+        commit(en, c, t, e, withheld);
+        visit(en, depth + 1);
+        withheld = (withheld - choices) & choices;
+      } while (withheld != 0);
+    }
+  }
 }
 
 }  // namespace
@@ -459,12 +482,10 @@ std::set<Outcome> enumerate_outcomes(const LitmusTest& test, Arch arch) {
 
   Enumeration en;
   en.test = &test;
-  en.forwarding = allows_early_forwarding(arch);
-  en.arena = &arena;
+  en.ws = &ws;
   en.T = static_cast<int>(test.threads.size());
   en.V = test.num_vars;
   en.R = test.num_regs;
-  en.L = en.R + en.V;
 
   // --- Flat event columns ---------------------------------------------------
   en.thread_base = arena.alloc<int>(static_cast<std::size_t>(en.T) + 1);
@@ -475,16 +496,17 @@ std::set<Outcome> enumerate_outcomes(const LitmusTest& test, Arch arch) {
         test.threads[static_cast<std::size_t>(t)].instrs.size());
   }
   en.thread_base[en.T] = total;
-  en.E = total;
 
-  const std::size_t ecount = static_cast<std::size_t>(en.E ? en.E : 1);
+  const std::size_t ecount = static_cast<std::size_t>(total ? total : 1);
   en.ev_kind = arena.alloc<std::uint8_t>(ecount);
-  en.ev_tid = arena.alloc<int>(ecount);
   en.ev_var = arena.alloc<int>(ecount);
-  en.ev_val = arena.alloc<int>(ecount);
   en.ev_reg = arena.alloc<int>(ecount);
+  en.ev_slot = arena.alloc<int>(ecount);
   en.ev_push = arena.alloc<std::uint8_t>(ecount);
-  en.ev_delay_base = arena.alloc<int>(ecount);
+  en.w_val = arena.alloc<int>(ecount);
+  en.w_var = arena.alloc<int>(ecount);
+  const std::size_t vcount = static_cast<std::size_t>(en.V ? en.V : 1);
+  en.var_wbase = arena.alloc_zero<int>(vcount + 1);
 
   for (int t = 0; t < en.T; ++t) {
     const auto& instrs = test.threads[static_cast<std::size_t>(t)].instrs;
@@ -492,114 +514,94 @@ std::set<Outcome> enumerate_outcomes(const LitmusTest& test, Arch arch) {
     for (std::size_t i = 0; i < instrs.size(); ++i) {
       const LitmusInstr& in = instrs[i];
       const int e = en.thread_base[t] + static_cast<int>(i);
-      en.ev_tid[e] = t;
       en.ev_var[e] = in.var;
-      en.ev_val[e] = in.value;
       en.ev_reg[e] = in.reg;
-      en.ev_delay_base[e] = -1;
+      en.ev_slot[e] = -1;
+      en.ev_push[e] = 0;
       if (is_write(in)) {
         en.ev_kind[e] = kEvWrite;
+        en.ev_slot[e] = en.W;
+        en.w_val[en.W] = in.value;
+        en.w_var[en.W++] = in.var;
+        ++en.var_wbase[in.var + 1];
         // Cumulativity trigger: this write commits after every group-A
         // access of any WW-ordering fence that program-precedes it; a
         // release store is itself cumulative the same way.
         en.ev_push[e] = (in.release || ww_fence_seen) ? 1 : 0;
       } else if (is_read(in)) {
         en.ev_kind[e] = kEvRead;
-        en.ev_push[e] = 0;
       } else {
         en.ev_kind[e] = is_full_barrier(in.fence) ? kEvFenceFull : kEvFenceOther;
-        en.ev_push[e] = 0;
         if (fence_order(in.fence).ww) ww_fence_seen = true;
       }
     }
   }
-
-  // --- Delay slots (POWER early forwarding) ---------------------------------
-  if (en.forwarding && en.T > 1) {
-    int bits = 0;
-    for (int t = 0; t < en.T; ++t) {
-      const auto& instrs = test.threads[static_cast<std::size_t>(t)].instrs;
-      for (std::size_t i = 0; i < instrs.size(); ++i) {
-        if (!is_write(instrs[i])) continue;
-        const int e = en.thread_base[t] + static_cast<int>(i);
-        en.ev_delay_base[e] = bits;
-        bits += en.T - 1;
-      }
+  // A forwarded write may be withheld from any subset of the other T-1
+  // threads: a delay bit each.  Their total bounds the search (and T).
+  en.forwarding = allows_early_forwarding(arch) && en.T > 1 && en.W > 0;
+  if (en.forwarding && en.W * (en.T - 1) > 20) {
+    throw std::invalid_argument("litmus test too large for delay enumeration");
+  }
+  for (int v = 0; v < en.V; ++v) en.var_wbase[v + 1] += en.var_wbase[v];
+  en.var_writes = arena.alloc<int>(ecount);
+  {
+    int* fill = arena.alloc<int>(vcount);
+    std::memcpy(fill, en.var_wbase, vcount * sizeof(int));
+    for (int e = 0; e < total; ++e) {
+      if (en.ev_slot[e] >= 0) en.var_writes[fill[en.ev_var[e]]++] = en.ev_slot[e];
     }
-    if (bits > 20) {
-      throw std::invalid_argument("litmus test too large for delay enumeration");
-    }
-    en.delay_bits = bits;
   }
 
-  // --- Per-thread commit orders --------------------------------------------
-  en.order_len = arena.alloc<int>(static_cast<std::size_t>(en.T ? en.T : 1));
-  en.order_base =
-      arena.alloc<std::size_t>(static_cast<std::size_t>(en.T ? en.T : 1));
-  en.order_count =
-      arena.alloc<std::size_t>(static_cast<std::size_t>(en.T ? en.T : 1));
-  en.order_pool.init(arena, 256);
-  int seq_cap = 0;
-  for (int t = 0; t < en.T; ++t) {
-    build_thread_orders(en, t, arch);
-    seq_cap += en.order_len[t];
-  }
+  // --- Per-thread commit-order nodes ----------------------------------------
+  en.node_base = arena.alloc<int>(static_cast<std::size_t>(en.T) + 1);
+  en.node_base[0] = 0;
+  en.node_event = arena.alloc<int>(ecount);
+  en.node_pred = arena.alloc<std::uint64_t>(ecount);
+  en.read_nodes = arena.alloc_zero<std::uint64_t>(
+      static_cast<std::size_t>(en.T) * vcount);
+  en.publish_nodes = arena.alloc_zero<std::uint64_t>(
+      static_cast<std::size_t>(en.T ? en.T : 1));
+  for (int t = 0; t < en.T; ++t) build_thread_orders(en, t, arch);
+  en.N = en.node_base[en.T];
 
-  // --- Execution scratch ----------------------------------------------------
-  en.seq = arena.alloc<int>(static_cast<std::size_t>(seq_cap ? seq_cap : 1));
-  en.regs = arena.alloc_zero<int>(static_cast<std::size_t>(en.R ? en.R : 1));
-  en.outcome =
-      arena.alloc<std::int32_t>(static_cast<std::size_t>(en.L ? en.L : 1));
-  const std::size_t vcount = static_cast<std::size_t>(en.V ? en.V : 1);
-  en.var_val = arena.alloc<int>(vcount);
-  en.var_has = arena.alloc<std::uint8_t>(vcount);
-  if (en.forwarding) {
-    en.w_pos = arena.alloc<int>(ecount);
-    en.w_tid = arena.alloc<int>(ecount);
-    en.w_var = arena.alloc<int>(ecount);
-    en.w_val = arena.alloc<int>(ecount);
-    en.w_prev = arena.alloc<int>(ecount);
-    en.w_visfrom = arena.alloc<int>(ecount * static_cast<std::size_t>(en.T));
-    en.var_last = arena.alloc<int>(vcount);
-    en.obs_pool = arena.alloc<int>(ecount);
-    en.obs_base = arena.alloc<int>(static_cast<std::size_t>(en.T));
-    en.obs_count = arena.alloc<int>(static_cast<std::size_t>(en.T));
-    for (int t = 0; t < en.T; ++t) en.obs_base[t] = en.thread_base[t];
-    en.seen_floor =
-        arena.alloc<int>(static_cast<std::size_t>(en.T) * vcount);
-  }
-  en.outcomes.init(arena, static_cast<std::uint32_t>(en.L));
+  // --- State blocks, key and outcome scratch --------------------------------
+  const std::size_t T = static_cast<std::size_t>(en.T);
+  const std::size_t W = en.forwarding ? static_cast<std::size_t>(en.W) : 0;
+  const std::size_t TV = en.forwarding ? T * vcount : 0;
+  constexpr std::size_t kWord = sizeof(std::int32_t);
+  en.off_regs = T * sizeof(std::uint64_t);
+  en.off_last = en.off_regs + static_cast<std::size_t>(en.R) * kWord;
+  en.off_rank = en.off_last + static_cast<std::size_t>(en.V) * kWord;
+  en.off_vis = en.off_rank + W * kWord;
+  en.off_seen = en.off_vis + W * kWord;
+  en.off_floor = en.off_seen + (en.forwarding ? T : 0) * kWord;
+  en.block_bytes = (en.off_floor + TV * kWord + 7) & ~std::size_t{7};
+  const std::size_t depths = static_cast<std::size_t>(en.N) + 1;
+  en.blocks = reinterpret_cast<std::byte*>(arena.alloc_zero<std::uint64_t>(
+      depths * en.block_bytes / sizeof(std::uint64_t) + 1));
+  const State root = en.state(0);
+  std::memset(root.rank, 0xFF, W * kWord);
+  std::memset(root.floor, 0xFF, TV * kWord);
 
-  // --- Cartesian product of per-thread commit orders, then interleavings ---
-  const std::size_t tcount = static_cast<std::size_t>(en.T ? en.T : 1);
-  const int** chosen = arena.alloc<const int*>(tcount);
-  int* chosen_len = arena.alloc<int>(tcount);
-  int* cursor = arena.alloc<int>(tcount);
-  std::size_t* pick = arena.alloc_zero<std::size_t>(tcount);
-  while (true) {
-    for (int t = 0; t < en.T; ++t) {
-      chosen[t] = en.order_pool.data() + en.order_base[t] +
-                  pick[t] * static_cast<std::size_t>(en.order_len[t]);
-      chosen_len[t] = en.order_len[t];
-      cursor[t] = 0;
-    }
-    interleave(en, chosen, chosen_len, cursor, 0);
+  en.all_threads = en.T >= 32 ? ~0u : (1u << en.T) - 1;
+  en.id_bits = std::bit_width(static_cast<unsigned>(en.W));
+  en.key = arena.alloc<std::uint32_t>(en.block_bytes / 4 + 1);
+  en.readers = arena.alloc<std::uint32_t>(vcount);
+  const std::uint32_t width = static_cast<std::uint32_t>(en.R + en.V);
+  en.outcome = arena.alloc<std::uint32_t>(width ? width : 1);
+  ws.visited.reset(pack_key(en, root));
+  ws.outcomes.reset(width);
 
-    // Advance the product counter.
-    int t = 0;
-    for (; t < en.T; ++t) {
-      if (++pick[t] < en.order_count[t]) break;
-      pick[t] = 0;
-    }
-    if (t == en.T) break;
-  }
+  visit(en, 0);
 
   // Unpack the deduplicated outcomes into the caller-facing sorted set (cold
-  // path: one node per *distinct* outcome, not per interleaving).
+  // path: one node per *distinct* outcome).
   std::set<Outcome> outcomes;
-  for (std::uint32_t i = 0; i < en.outcomes.size(); ++i) {
-    const std::int32_t* v = en.outcomes.entry(i);
-    outcomes.insert(Outcome(v, v + en.L));
+  for (std::uint32_t i = 0; i < ws.outcomes.size(); ++i) {
+    const std::uint32_t* v = ws.outcomes.entry(i);
+    Outcome o(width);
+    for (std::uint32_t j = 0; j < width; ++j) o[j] = static_cast<std::int32_t>(v[j]);
+    outcomes.insert(std::move(o));
   }
   return outcomes;
 }
@@ -610,7 +612,11 @@ EnumArenaStats enumeration_arena_stats() {
   EnumArenaStats out;
   out.reserved_bytes = s.reserved_bytes;
   out.high_water_bytes = s.high_water_bytes;
+  out.visited_bytes = ws.visited.reserved_bytes();
   out.enumerations = ws.enumerations;
+  out.states = ws.states;
+  out.memo_hits = ws.memo_hits;
+  out.leaves = ws.leaves;
   return out;
 }
 

@@ -1,12 +1,14 @@
 // Operational weak-memory-model executor for litmus tests.
 //
 // Each thread's program is a straight-line list of reads, writes, and fences
-// with explicit address/data/control dependencies.  The executor enumerates
-// every per-thread *commit order* allowed by the architecture (a permutation
-// of the program respecting same-location coherence order, dependencies, and
-// fences), then every interleaving of those commit orders, executing against
-// a shared memory.  The union of reachable final register states is the set
-// of architecturally allowed outcomes.
+// with explicit address/data/control dependencies.  Each thread's *commit
+// order* is a partial order over its instructions allowed by the
+// architecture (program order relaxed per location, dependency, fence and
+// acquire/release, see `must_commit_in_order`).  The executor searches one
+// labelled transition system: a transition commits any thread's next ready
+// commit-order node against a shared memory, and each state is expanded once
+// (a visited set keyed by the exact state).  The union of final register and
+// memory states is the set of architecturally allowed outcomes.
 //
 // Architecture strength:
 //   SC       — no reordering at all.
@@ -22,7 +24,9 @@
 // revision and allows the classic SB/MP/LB/S/R/2+2W behaviours that the
 // paper's fencing strategies exist to control.  Non-multi-copy-atomic POWER
 // behaviours (e.g. WRC without sync, IRIW) are additionally admitted through
-// an early-forwarding rule, see `allows_early_forwarding`.
+// an early-forwarding rule, see `allows_early_forwarding`: when a write
+// commits, it chooses which other threads it stays withheld from until a
+// cumulative fence or store publishes it.
 #pragma once
 
 #include <cstdint>
@@ -98,15 +102,23 @@ using Outcome = std::vector<int>;
 // Enumerate all architecturally reachable outcomes of `test` on `arch`.
 std::set<Outcome> enumerate_outcomes(const LitmusTest& test, Arch arch);
 
-// Introspection over the calling thread's enumeration arena (the bump
-// allocator behind enumerate_outcomes): capacity held, the high-water mark of
-// bytes live within one enumeration, and how many enumerations have run.
-// Per-thread by construction — arena internals never enter the obs counter
-// registry, which must stay byte-identical across --threads.
+// Introspection over the calling thread's enumeration workspace (the bump
+// arena and the visited-state set behind enumerate_outcomes): capacity held,
+// the arena's high-water mark of bytes live within one enumeration, and
+// running totals over the thread's enumerations.  `states` counts the
+// distinct non-final states the search expanded, `memo_hits` the transitions
+// into a state already expanded, `leaves` the transitions into a final state;
+// all three are deterministic per program and architecture.  Per-thread by
+// construction — these never enter the obs counter registry, which must stay
+// byte-identical across --threads.
 struct EnumArenaStats {
   std::size_t reserved_bytes = 0;
   std::size_t high_water_bytes = 0;
+  std::size_t visited_bytes = 0;  // storage held by the visited-state set
   std::uint64_t enumerations = 0;
+  std::uint64_t states = 0;
+  std::uint64_t memo_hits = 0;
+  std::uint64_t leaves = 0;
 };
 EnumArenaStats enumeration_arena_stats();
 

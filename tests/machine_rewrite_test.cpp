@@ -7,10 +7,12 @@
 // has been seen.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "sim/axiomatic.h"
 #include "sim/axiomatic_power.h"
 #include "sim/fuzz.h"
+#include "sim/litmus_family.h"
 #include "sim/litmus_format.h"
 #include "sim/memory_model.h"
 #include "sim/rng.h"
@@ -104,14 +107,17 @@ TEST(MachineRewrite, ArenaHighWaterStableAcrossReuse) {
   const EnumArenaStats warm = enumeration_arena_stats();
   EXPECT_GT(warm.enumerations, 0u);
   EXPECT_GT(warm.high_water_bytes, 0u);
+  EXPECT_GT(warm.visited_bytes, 0u);
 
   // Steady state: re-running the same program must not move the high-water
   // mark or grow the arena's reservation — the whole cycle is served from
-  // the chunk the warm-up sized.
+  // the chunk the warm-up sized, and the visited-state set keeps the storage
+  // the first call grew.
   for (int i = 0; i < 10; ++i) (void)enumerate_outcomes(test, Arch::ARMV8);
   const EnumArenaStats steady = enumeration_arena_stats();
   EXPECT_EQ(steady.high_water_bytes, warm.high_water_bytes);
   EXPECT_EQ(steady.reserved_bytes, warm.reserved_bytes);
+  EXPECT_EQ(steady.visited_bytes, warm.visited_bytes);
   EXPECT_EQ(steady.enumerations, warm.enumerations + 10);
 }
 
@@ -128,6 +134,160 @@ TEST(MachineRewrite, ArenaStatsAreOutsideTheCounterRegistry) {
   }
   // The enumeration itself must not have minted any new counter names.
   EXPECT_EQ(before.size(), after.size());
+}
+
+// --- Search size (EnumArenaStats) -------------------------------------------
+
+struct SearchSize {
+  std::uint64_t states, memo_hits, leaves;
+  friend bool operator==(const SearchSize&, const SearchSize&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const SearchSize& s) {
+  return os << "{" << s.states << ", " << s.memo_hits << ", " << s.leaves
+            << "}";
+}
+
+SearchSize search_size(const LitmusTest& test, Arch arch) {
+  const EnumArenaStats before = enumeration_arena_stats();
+  (void)enumerate_outcomes(test, arch);
+  const EnumArenaStats after = enumeration_arena_stats();
+  return {after.states - before.states, after.memo_hits - before.memo_hits,
+          after.leaves - before.leaves};
+}
+
+// The search visits a fixed number of states per program, whatever the
+// host: a change to the state key or the transition order shows here
+// exactly, without timing noise.
+TEST(MachineRewrite, SearchSizeIsPinnedForThreeFamilyPrograms) {
+  const std::vector<FamilyProgram> family = generate_families();
+  const std::pair<const char*, SearchSize> pinned[] = {
+      {"MP", {32, 29, 12}},
+      {"IRIW+sync+sync", {325, 482, 32}},
+      {"CY-CoCoCC+lwsync+dmb.ish", {244, 147, 54}},
+  };
+  for (const auto& [name, size] : pinned) {
+    const auto it =
+        std::find_if(family.begin(), family.end(),
+                     [&](const FamilyProgram& p) { return p.name == name; });
+    ASSERT_NE(it, family.end()) << name;
+    EXPECT_EQ(search_size(it->test, Arch::POWER7), size) << name;
+    // Deterministic: the same program searches the same states again.
+    EXPECT_EQ(search_size(it->test, Arch::POWER7), size) << name;
+  }
+}
+
+// --- Edge cases --------------------------------------------------------------
+
+LitmusTest two_thread_mp(int data, int flag) {
+  LitmusTest t;
+  t.name = "MP-values";
+  t.num_vars = 2;
+  t.num_regs = 2;
+  t.threads.resize(2);
+  t.threads[0].instrs = {LitmusInstr::write(0, data),
+                         LitmusInstr::write(1, flag)};
+  t.threads[1].instrs = {LitmusInstr::read(0, 1), LitmusInstr::read(1, 0)};
+  return t;
+}
+
+TEST(MachineRewrite, LargeAndNegativeValuesRoundTrip) {
+  const int big = 2147483647;
+  const int neg = -2147483647 - 1;
+  const LitmusTest test = two_thread_mp(big, neg);
+  for (const Arch arch :
+       {Arch::SC, Arch::X86_TSO, Arch::ARMV8, Arch::POWER7}) {
+    const std::set<Outcome> got = enumerate_outcomes(test, arch);
+    EXPECT_EQ(got, oracle_outcomes(test, arch)) << arch_name(arch);
+    // r1 (flag) read the negative flag and r0 the large data; memory ends
+    // holding both.
+    EXPECT_TRUE(got.count(Outcome{neg, big, big, neg})) << arch_name(arch);
+    EXPECT_TRUE(got.count(Outcome{0, 0, big, neg})) << arch_name(arch);
+  }
+  const LitmusTest minus_one = two_thread_mp(-1, -7);
+  EXPECT_EQ(enumerate_outcomes(minus_one, Arch::POWER7),
+            oracle_outcomes(minus_one, Arch::POWER7));
+}
+
+TEST(MachineRewrite, OneThreadProgramSeesItsOwnWrites) {
+  LitmusTest t;
+  t.name = "one-thread";
+  t.num_vars = 2;
+  t.num_regs = 2;
+  t.threads.resize(1);
+  t.threads[0].instrs = {LitmusInstr::write(0, 1), LitmusInstr::write(1, 2),
+                         LitmusInstr::read(0, 0), LitmusInstr::read(1, 1),
+                         LitmusInstr::write(0, 3)};
+  for (const Arch arch :
+       {Arch::SC, Arch::X86_TSO, Arch::ARMV8, Arch::POWER7}) {
+    const std::set<Outcome> got = enumerate_outcomes(t, arch);
+    EXPECT_EQ(got, (std::set<Outcome>{{1, 2, 3, 2}})) << arch_name(arch);
+    EXPECT_EQ(got, oracle_outcomes(t, arch)) << arch_name(arch);
+  }
+}
+
+TEST(MachineRewrite, ThreadWithoutCommitOrderNodesChangesNothing) {
+  const LitmusTest base = two_thread_mp(1, 1);
+  LitmusTest empty = base;
+  empty.threads.emplace_back();
+  LitmusTest weak_fence_only = base;
+  // dmb ishst is neither a full barrier nor an lwsync, so it is no
+  // commit-order node.
+  weak_fence_only.threads.push_back(
+      LitmusThread{{LitmusInstr::barrier(FenceKind::DmbIshSt)}});
+  for (const Arch arch :
+       {Arch::SC, Arch::X86_TSO, Arch::ARMV8, Arch::POWER7}) {
+    const std::set<Outcome> want = enumerate_outcomes(base, arch);
+    EXPECT_EQ(enumerate_outcomes(empty, arch), want) << arch_name(arch);
+    EXPECT_EQ(enumerate_outcomes(weak_fence_only, arch), want)
+        << arch_name(arch);
+  }
+}
+
+TEST(MachineRewrite, OversizedProgramsAreRejected) {
+  // POWER: 3 threads x 11 writes need 2 delay bits each, 22 > 20.
+  LitmusTest delays;
+  delays.name = "too-many-delay-bits";
+  delays.num_vars = 1;
+  delays.threads.resize(3);
+  for (int i = 0; i < 11; ++i) {
+    delays.threads[static_cast<std::size_t>(i % 3)].instrs.push_back(
+        LitmusInstr::write(0, i + 1));
+  }
+  try {
+    (void)enumerate_outcomes(delays, Arch::POWER7);
+    ADD_FAILURE() << "22 delay bits were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "litmus test too large for delay enumeration");
+  }
+  // 20 bits are still searched: 21 threads and one write.
+  LitmusTest widest;
+  widest.name = "twenty-delay-bits";
+  widest.num_vars = 1;
+  widest.threads.resize(21);
+  widest.threads[0].instrs = {LitmusInstr::write(0, 1)};
+  EXPECT_EQ(enumerate_outcomes(widest, Arch::POWER7),
+            (std::set<Outcome>{{1}}));
+
+  // Any arch: more than 64 commit-order nodes on one thread.
+  LitmusTest nodes;
+  nodes.name = "too-many-nodes";
+  nodes.num_vars = 1;
+  nodes.num_regs = 1;
+  nodes.threads.resize(1);
+  for (int i = 0; i < 65; ++i) {
+    nodes.threads[0].instrs.push_back(LitmusInstr::read(0, 0));
+  }
+  for (const Arch arch : {Arch::SC, Arch::POWER7}) {
+    try {
+      (void)enumerate_outcomes(nodes, arch);
+      ADD_FAILURE() << "65 nodes were accepted on " << arch_name(arch);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "litmus thread too large for commit-order masks");
+    }
+  }
+  // The arena recovered from the throws: the next enumeration still works.
+  EXPECT_EQ(enumerate_outcomes(two_thread_mp(1, 1), Arch::SC).size(), 3u);
 }
 
 }  // namespace
