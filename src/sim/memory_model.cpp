@@ -193,7 +193,7 @@ struct Enumeration {
   int* node_base = nullptr;  // T + 1
   int* node_event = nullptr;
   std::uint64_t* node_pred = nullptr;
-  // Forwarding only: the nodes of thread t that read variable v
+  // Read with forwarding only: the nodes of thread t that read variable v
   // ([t * V + v]), and those that publish its observed writes (full
   // barriers and pushing writes).
   std::uint64_t* read_nodes = nullptr;
@@ -207,7 +207,7 @@ struct Enumeration {
 
   std::uint32_t all_threads = 0;  // visibility mask of a published write
   int id_bits = 0;                // key bits of a write slot + 1 (or rank + 1)
-  std::uint32_t* key = nullptr;      // block_bytes / 4 words: never fuller
+  std::uint32_t* key = nullptr;      // as large as a block, which it packs
   std::uint32_t* readers = nullptr;  // pack_key scratch, V
   std::uint32_t* outcome = nullptr;  // R + V packing scratch
 
@@ -310,9 +310,13 @@ std::uint32_t live_readers(const Enumeration& en, const State& s, int v) {
 std::uint32_t pack_key(const Enumeration& en, const State& s) {
   KeyWriter kw{en.key};
   for (int t = 0; t < en.T; ++t) kw.put_wide(s.done[t], en.node_count(t));
-  for (int r = 0; r < en.R; ++r) kw.put(static_cast<std::uint32_t>(s.regs[r]), en.id_bits);
+  for (int r = 0; r < en.R; ++r) {
+    kw.put(static_cast<std::uint32_t>(s.regs[r]), en.id_bits);
+  }
   if (!en.forwarding) {
-    for (int v = 0; v < en.V; ++v) kw.put(static_cast<std::uint32_t>(s.last[v]), en.id_bits);
+    for (int v = 0; v < en.V; ++v) {
+      kw.put(static_cast<std::uint32_t>(s.last[v]), en.id_bits);
+    }
   } else {
     for (int v = 0; v < en.V; ++v) en.readers[v] = live_readers(en, s, v);
     for (int w = 0; w < en.W; ++w) {
@@ -333,7 +337,8 @@ std::uint32_t pack_key(const Enumeration& en, const State& s) {
 }
 
 // Cumulativity: every write in `writes` becomes visible to all threads.
-inline void publish(const Enumeration& en, const State& s, std::uint32_t writes) {
+inline void publish(const Enumeration& en, const State& s,
+                    std::uint32_t writes) {
   for (; writes != 0; writes &= writes - 1) {
     s.vis[__builtin_ctz(writes)] = en.all_threads;
   }
@@ -402,13 +407,11 @@ void commit(const Enumeration& en, const State& s, int t, int e,
 }
 
 void record_outcome(Enumeration& en, const State& s) {
-  for (int r = 0; r < en.R; ++r) {
-    en.outcome[r] = s.regs[r] ? static_cast<std::uint32_t>(en.w_val[s.regs[r] - 1]) : 0;
-  }
-  for (int v = 0; v < en.V; ++v) {
-    en.outcome[en.R + v] =
-        s.last[v] ? static_cast<std::uint32_t>(en.w_val[s.last[v] - 1]) : 0;
-  }
+  const auto value = [&en](std::int32_t slot1) {
+    return slot1 ? static_cast<std::uint32_t>(en.w_val[slot1 - 1]) : 0u;
+  };
+  for (int r = 0; r < en.R; ++r) en.outcome[r] = value(s.regs[r]);
+  for (int v = 0; v < en.V; ++v) en.outcome[en.R + v] = value(s.last[v]);
   en.ws->outcomes.insert(en.outcome);
 }
 
@@ -439,7 +442,8 @@ void visit(Enumeration& en, int depth) {
 void expand(Enumeration& en, int depth) {
   const State s = en.state(depth);
   const std::byte* parent = reinterpret_cast<const std::byte*>(s.done);
-  std::byte* child = en.blocks + static_cast<std::size_t>(depth + 1) * en.block_bytes;
+  std::byte* child =
+      en.blocks + static_cast<std::size_t>(depth + 1) * en.block_bytes;
   for (int t = 0; t < en.T; ++t) {
     const std::uint64_t done = s.done[t];
     const int count = en.node_count(t);
@@ -531,7 +535,8 @@ std::set<Outcome> enumerate_outcomes(const LitmusTest& test, Arch arch) {
       } else if (is_read(in)) {
         en.ev_kind[e] = kEvRead;
       } else {
-        en.ev_kind[e] = is_full_barrier(in.fence) ? kEvFenceFull : kEvFenceOther;
+        en.ev_kind[e] =
+            is_full_barrier(in.fence) ? kEvFenceFull : kEvFenceOther;
         if (fence_order(in.fence).ww) ww_fence_seen = true;
       }
     }
@@ -548,7 +553,9 @@ std::set<Outcome> enumerate_outcomes(const LitmusTest& test, Arch arch) {
     int* fill = arena.alloc<int>(vcount);
     std::memcpy(fill, en.var_wbase, vcount * sizeof(int));
     for (int e = 0; e < total; ++e) {
-      if (en.ev_slot[e] >= 0) en.var_writes[fill[en.ev_var[e]]++] = en.ev_slot[e];
+      if (en.ev_slot[e] >= 0) {
+        en.var_writes[fill[en.ev_var[e]]++] = en.ev_slot[e];
+      }
     }
   }
 
@@ -600,7 +607,9 @@ std::set<Outcome> enumerate_outcomes(const LitmusTest& test, Arch arch) {
   for (std::uint32_t i = 0; i < ws.outcomes.size(); ++i) {
     const std::uint32_t* v = ws.outcomes.entry(i);
     Outcome o(width);
-    for (std::uint32_t j = 0; j < width; ++j) o[j] = static_cast<std::int32_t>(v[j]);
+    for (std::uint32_t j = 0; j < width; ++j) {
+      o[j] = static_cast<std::int32_t>(v[j]);
+    }
     outcomes.insert(std::move(o));
   }
   return outcomes;
