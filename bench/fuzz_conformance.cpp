@@ -6,7 +6,7 @@
 //
 // Usage:
 //   fuzz_conformance [--arch=sc|tso|arm|power|all] [--count=N] [--seed=S]
-//                    [--replay=SEED] [--max-divergences=N] [--sandwich]
+//                    [--replay=SEED] [--max-divergences=N]
 //                    [--weaken=tso-wr|deps|poloc|acqrel|
 //                             power-lwsync-sync|power-bcumul|power-obs]
 //
@@ -19,8 +19,6 @@
 //                  switch POWER to a biased generator shape (and, unless
 //                  --count is given, a 5000-program budget) so the rare
 //                  witnessing programs appear within the run.
-//   --sandwich     check POWER with the legacy envelope bounds instead of the
-//                  exact Herding-Cats model (differential debugging only).
 //   --export-litmus=DIR
 //                  write each architecture's generated corpus to
 //                  DIR/<arch>/NNNN-fuzz-0xSEED.litmus in herd7 syntax, with
@@ -260,12 +258,6 @@ int main(int argc, char** argv) {
        "plant a bug: tso-wr|deps|poloc|acqrel|power-lwsync-sync|"
        "power-bcumul|power-obs",
        [&](const std::string& v) { return parse_weaken(v, options); }},
-      {"--sandwich", "",
-       "check POWER with the legacy envelope bounds (debugging)",
-       [&](const std::string&) {
-         options.power_sandwich = true;
-         return true;
-       }},
       {"--max-divergences", "N", "stop an arch after N divergences (default 1)",
        [&](const std::string& v) {
          max_divergences = static_cast<int>(parse_u64(v));
@@ -282,16 +274,12 @@ int main(int argc, char** argv) {
                          "Differential litmus conformance fuzzer", "", specs);
   session.set_extra("seed", std::to_string(base_seed));
   session.set_extra("count", std::to_string(count));
-  session.set_extra("power_check",
-                    options.power_sandwich ? "sandwich" : "hc-exact");
+  session.set_extra("power_check", "hc-exact");
 
   const bool has_power =
       std::find(archs.begin(), archs.end(), sim::Arch::POWER7) != archs.end();
   if (has_power) {
-    std::printf("POWER check mode: %s\n",
-                options.power_sandwich
-                    ? "sandwich envelope (legacy, --sandwich)"
-                    : "exact Herding-Cats equality");
+    std::printf("POWER check mode: exact Herding-Cats equality\n");
   }
 
   if (do_replay) return replay(replay_seed, archs, options);

@@ -327,17 +327,8 @@ Outcome outcome_of(const CandidateSpace& s, const Candidate& c) {
 }
 
 // Does this candidate satisfy the architecture's axioms?
-bool candidate_allowed(const CandidateSpace& s, const Candidate& c, Arch arch) {
+bool candidate_allowed(const CandidateSpace& s, const Candidate& c) {
   EdgeGraph g(s.events.size());
-  if (allows_early_forwarding(arch)) {
-    // POWER envelope: COHERENCE + CAUSALITY (see axiomatic.h).
-    g.reset(s.poloc_rows);
-    add_com_edges(g, s, c, /*include_fr=*/true);
-    if (!g.acyclic()) return false;
-    g.reset(s.ppo_rows);
-    add_com_edges(g, s, c, /*include_fr=*/false);
-    return g.acyclic();
-  }
   // Multi-copy-atomic architectures: acyclic(ppo ∪ rf ∪ co ∪ fr), exact.
   g.reset(s.ppo_rows);
   add_com_edges(g, s, c, /*include_fr=*/true);
@@ -435,6 +426,9 @@ struct AxiomaticEvaluator::Impl {
   Impl(const LitmusTest& skeleton, Arch a, std::vector<FenceSlotRef> sl,
        const AxiomaticOptions& options)
       : test(skeleton), arch(a), opt(options), slots(std::move(sl)) {
+    if (allows_early_forwarding(arch)) {
+      throw std::invalid_argument("POWER7 is checked by axiomatic_power.h");
+    }
     for (const FenceSlotRef& slot : slots) {
       const auto t = static_cast<std::size_t>(slot.tid);
       const auto i = static_cast<std::size_t>(slot.idx);
@@ -484,7 +478,7 @@ std::set<Outcome> AxiomaticEvaluator::outcomes() const {
   const Impl& im = *impl_;
   std::set<Outcome> out;
   for_each_candidate(im.space, [&](const Candidate& c) {
-    if (candidate_allowed(im.space, c, im.arch)) {
+    if (candidate_allowed(im.space, c)) {
       out.insert(outcome_of(im.space, c));
     }
     return false;
@@ -496,7 +490,7 @@ bool AxiomaticEvaluator::allowed(const Outcome& outcome) const {
   const Impl& im = *impl_;
   bool found = false;
   for_each_candidate(im.space, [&](const Candidate& c) {
-    if (candidate_allowed(im.space, c, im.arch) &&
+    if (candidate_allowed(im.space, c) &&
         outcome_of(im.space, c) == outcome) {
       found = true;
       return true;

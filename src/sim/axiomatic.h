@@ -20,19 +20,8 @@
 //   commit interleaving exists.
 //
 //   POWER7 (non-multi-copy-atomic by early forwarding / delayed visibility)
-//   has an *exact* four-axiom Herding-Cats model in axiomatic_power.h; this
-//   checker only provides the legacy *envelope* for it (a pair of sound
-//   bounds, kept for differential debugging via
-//   AxiomaticOptions::power_sandwich):
-//       COHERENCE:  acyclic(po-loc ∪ rf ∪ co ∪ fr)    (SC per location)
-//       CAUSALITY:  acyclic(ppo ∪ rf ∪ co)            (commit-order
-//                   consistency; fr is *excluded* because a read may commit
-//                   after a coherence-later write whose visibility is still
-//                   delayed for its thread)
-//   Everything the operational POWER machine can produce satisfies both
-//   axioms, so the envelope is an upper bound on its behaviour; the ARMv8
-//   axiomatic set is the matching lower bound (POWER admits every ARM
-//   execution by leaving all visibility delays off).
+//   has its own exact four-axiom Herding-Cats model in axiomatic_power.h;
+//   this checker rejects it.
 //
 // The checker deliberately re-derives fence ordering classes and the
 // dependency rules in its own tables rather than calling into
@@ -71,10 +60,6 @@ struct AxiomaticOptions {
   // Weakenings of the exact POWER model (axiomatic_power.h); only consulted
   // on POWER7.
   PowerAxiomaticOptions power;
-  // Check POWER with the legacy sandwich bounds instead of the exact
-  // Herding-Cats model (fuzz_conformance --sandwich, for differential
-  // debugging of the exact oracle itself).
-  bool power_sandwich = false;
 
   bool any() const {
     return drop_tso_store_load_fence || drop_dependency_order ||
@@ -84,8 +69,8 @@ struct AxiomaticOptions {
 
 // All outcomes (register values then final variable values, the same layout
 // as enumerate_outcomes) admitted by the architecture's axioms.  Exact for
-// SC, X86_TSO and ARMV8; for POWER7 this returns the *envelope upper bound*
-// (see header comment).
+// SC, X86_TSO and ARMV8; POWER7 throws std::invalid_argument (see
+// axiomatic_power.h).
 std::set<Outcome> axiomatic_outcomes(const LitmusTest& test, Arch arch,
                                      const AxiomaticOptions& options = {});
 

@@ -271,33 +271,6 @@ std::optional<Divergence> check_against_operational(
     return std::nullopt;  // unreachable
   }
 
-  if (options.power_sandwich) {
-    // Legacy POWER sandwich: operational ⊆ envelope, ARM-axiomatic ⊆
-    // operational.  Kept for differential debugging of the exact oracle.
-    const std::set<Outcome> envelope = axiomatic_outcomes(test, arch, options);
-    for (const Outcome& o : operational) {
-      if (!envelope.count(o)) {
-        d.axiom = "envelope-upper";
-        d.outcome = o;
-        d.operational_allowed = true;
-        d.axiomatic_allowed = false;
-        return d;
-      }
-    }
-    const std::set<Outcome> lower =
-        axiomatic_outcomes(test, Arch::ARMV8, options);
-    for (const Outcome& o : lower) {
-      if (!operational.count(o)) {
-        d.axiom = "envelope-lower";
-        d.outcome = o;
-        d.operational_allowed = false;
-        d.axiomatic_allowed = true;
-        return d;
-      }
-    }
-    return std::nullopt;
-  }
-
   // POWER: exact equality against the Herding-Cats model, same criterion the
   // multi-copy-atomic architectures get.
   const std::set<Outcome> axiomatic =
@@ -602,7 +575,7 @@ std::string fuzz_cache_prefix(Arch arch, const FuzzConfig& config,
      << options.drop_dependency_order << options.drop_same_location_order
      << options.drop_acquire_release << options.power.lwsync_is_sync
      << options.power.drop_b_cumulativity << options.power.drop_observation
-     << options.power_sandwich << '|';
+     << '|';
   return os.str();
 }
 

@@ -14,12 +14,7 @@
 //   SC / X86_TSO / ARMV8 — exact equality of the outcome sets against the
 //                          single-axiom checker (axiomatic.h).
 //   POWER7              — exact equality against the Herding-Cats POWER model
-//                          (axiomatic_power.h).  The pre-PR-3 sandwich bounds
-//                          (operational ⊆ coherence+causality envelope,
-//                          ARMv8-axiomatic ⊆ operational) remain available
-//                          behind AxiomaticOptions::power_sandwich /
-//                          fuzz_conformance --sandwich for differential
-//                          debugging of the exact oracle.
+//                          (axiomatic_power.h).
 #pragma once
 
 #include <cstdint>
@@ -92,8 +87,7 @@ struct Divergence {
   Outcome outcome;             // witness outcome the two sides disagree on
   bool operational_allowed = false;
   bool axiomatic_allowed = false;
-  std::string axiom;  // "exact", "power-hc-exact[/AXIOM]" or (sandwich mode)
-                      // "envelope-upper"/"envelope-lower"
+  std::string axiom;  // "exact" or "power-hc-exact[/AXIOM]"
 
   // Multi-line report: verdicts, shrunk program, replay command line.
   std::string report() const;

@@ -206,18 +206,6 @@ TEST(Conformance, QuickFixedSeedCorpus) {
   }
 }
 
-// The legacy POWER sandwich bounds (fuzz_conformance --sandwich) stay sound:
-// they are weaker than the exact check, so a corpus that passes exact
-// equality must also pass the envelope.
-TEST(Conformance, PowerSandwichCompatModeStillSound) {
-  AxiomaticOptions o;
-  o.power_sandwich = true;
-  const FuzzReport report = run_conformance_corpus(
-      Arch::POWER7, kCorpusSeed, 150, FuzzConfig::for_arch(Arch::POWER7), o, 1);
-  EXPECT_TRUE(report.ok())
-      << report.divergences.front().report();
-}
-
 // --- Teeth: planted axiomatic bugs must be detected ------------------------
 
 struct Weakening {
