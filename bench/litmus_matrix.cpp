@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
         row.push_back(cell);
       }
       const bool hc_allowed = sim::condition_reachable(
-          f, sim::power_axiomatic_outcomes(f.test));
+          f, sim::axiomatic_outcomes(f.test, sim::Arch::POWER7));
       std::string cell = hc_allowed ? "allow" : "forbid";
       const auto it = f.expected.find(sim::Arch::POWER7);
       if ((it != f.expected.end() && it->second != hc_allowed) ||
@@ -141,8 +141,8 @@ int main(int argc, char** argv) {
         }
         row.push_back(cell);
       }
-      const bool hc_allowed =
-          sim::power_axiomatic_allowed(c.test, c.relaxed_outcome);
+      const bool hc_allowed = sim::axiomatic_allowed(
+          c.test, c.relaxed_outcome, sim::Arch::POWER7);
       std::string cell = hc_allowed ? "allow" : "forbid";
       if (!hc_allowed) {
         cell += std::string(" [") +

@@ -30,7 +30,6 @@
 #include "obs/record.h"
 #include "session.h"
 #include "sim/axiomatic.h"
-#include "sim/axiomatic_power.h"
 #include "sim/fuzz.h"
 #include "sim/litmus_family.h"
 #include "sim/memory_model.h"
@@ -60,7 +59,7 @@ std::vector<Engine> engines() {
        }},
       {"hc-power",
        [](const sim::LitmusTest& t) {
-         return sim::power_axiomatic_outcomes(t, {}).size();
+         return sim::axiomatic_outcomes(t, sim::Arch::POWER7, {}).size();
        }},
   };
 }

@@ -17,7 +17,8 @@ int main() {
   const sim::LitmusTest program =
       sim::generate_litmus(seed, sim::FuzzConfig::for_arch(sim::Arch::ARMV8));
   std::cout << sim::format_litmus(program) << "\n";
-  for (sim::Arch arch : {sim::Arch::SC, sim::Arch::X86_TSO, sim::Arch::ARMV8}) {
+  for (sim::Arch arch : {sim::Arch::SC, sim::Arch::X86_TSO, sim::Arch::ARMV8,
+                         sim::Arch::POWER7}) {
     const auto operational = sim::enumerate_outcomes(program, arch);
     const auto axiomatic = sim::axiomatic_outcomes(program, arch);
     std::cout << "  " << sim::arch_name(arch) << ": " << operational.size()

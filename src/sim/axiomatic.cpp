@@ -1,15 +1,22 @@
 #include "sim/axiomatic.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "obs/profile.h"
+#include "sim/axiomatic_power.h"
 
 namespace wmm::sim {
 
 namespace {
+
+bool ax_is_access(const LitmusInstr& in) { return in.type != AccessType::Fence; }
+bool ax_is_read(const LitmusInstr& in) { return in.type == AccessType::Read; }
+bool ax_is_write(const LitmusInstr& in) { return in.type == AccessType::Write; }
 
 // --- Fence ordering classes, re-derived independently of fence.cpp ---------
 //
@@ -19,124 +26,56 @@ namespace {
 // Book II (sync/lwsync/isync), Intel SDM vol 3 8.2 (MFENCE).
 struct AxOrder {
   bool rr = false, rw = false, wr = false, ww = false;
+  bool full() const { return rr && rw && wr && ww; }
 };
 
-AxOrder ax_fence_class(FenceKind kind) {
+AxOrder ax_fence_class(FenceKind kind, Arch arch, const AxiomaticOptions& opt) {
+  AxOrder cls;
   switch (kind) {
     // Full barriers: everything before ordered with everything after.
     case FenceKind::DmbIsh:
     case FenceKind::DsbSy:
     case FenceKind::HwSync:
     case FenceKind::Mfence:
-      return {true, true, true, true};
+      cls = {true, true, true, true};
+      break;
     // lwsync: all pairs except store→load.
     case FenceKind::LwSync:
-      return {true, true, false, true};
-    // dmb ishld: loads before ordered with loads and stores after.
+      cls = {true, true, false, true};
+      break;
+    // dmb ishld: loads before ordered with loads and stores after.  A
+    // control dependency completed by isb/isync orders prior reads with
+    // every later access the same way (the read-ordering recipe).
     case FenceKind::DmbIshLd:
-      return {true, true, false, false};
-    // Control dependency completed by isb/isync: prior reads ordered with
-    // every later access (the read-ordering recipe); plain isb or a bare
-    // control "fence" instruction orders nothing by itself.
     case FenceKind::CtrlIsb:
     case FenceKind::ISync:
-      return {true, true, false, false};
+      cls = {true, true, false, false};
+      break;
     // dmb ishst: stores before ordered with stores after.
     case FenceKind::DmbIshSt:
-      return {false, false, false, true};
+      cls = {false, false, false, true};
+      break;
+    // Plain isb or a bare control "fence" orders nothing by itself.
     case FenceKind::Isb:
     case FenceKind::CtrlDep:
     case FenceKind::None:
     case FenceKind::Nop:
     case FenceKind::CompilerOnly:
-      return {};
+      break;
   }
-  return {};
+  // Teeth weakenings: lwsync promoted to a full sync on POWER, mfence losing
+  // its store→load order on TSO.
+  if (kind == FenceKind::LwSync && arch == Arch::POWER7 &&
+      opt.power.lwsync_is_sync) {
+    cls.wr = true;
+  }
+  if (arch == Arch::X86_TSO && opt.drop_tso_store_load_fence) cls.wr = false;
+  return cls;
 }
 
-bool ax_is_access(const LitmusInstr& in) { return in.type != AccessType::Fence; }
-bool ax_is_read(const LitmusInstr& in) { return in.type == AccessType::Read; }
-bool ax_is_write(const LitmusInstr& in) { return in.type == AccessType::Write; }
-
-// --- Candidate-execution machinery -----------------------------------------
-
-constexpr std::size_t kMaxEvents = 30;  // adjacency rows fit in a uint32_t
-
-struct AxEvent {
-  int tid = -1;
-  int idx = -1;  // instruction index within the thread
-  bool write = false;
-  int var = -1;
-  int value = 0;
-  int reg = -1;
-};
-
-struct CandidateSpace {
-  const LitmusTest* test = nullptr;
-  std::vector<AxEvent> events;
-  // events index by (tid, instr idx); -1 for fences.
-  std::vector<std::vector<int>> event_of;
-  std::vector<int> reads;   // event ids
-  std::vector<int> writes;  // event ids
-  std::vector<std::vector<int>> writes_by_var;
-  // rf candidates per read (position in `reads`): write event ids, -1 = init.
-  std::vector<std::vector<int>> rf_candidates;
-
-  // Static relations as adjacency-row bitsets (bit j of row i set <=> edge
-  // i -> j), precomputed once per program so per-candidate graph resets are a
-  // row copy instead of replaying an edge list.
-  std::vector<std::uint32_t> ppo_rows;    // arch-preserved order
-  std::vector<std::uint32_t> poloc_rows;  // same-location program order
-};
-
-// Directed graph over candidate events with O(n^2) Kahn acyclicity check.
-class EdgeGraph {
- public:
-  explicit EdgeGraph(std::size_t n) : n_(n), succ_(n, 0u) {}
-
-  void add(int from, int to) {
-    if (from == to) {
-      self_loop_ = true;
-      return;
-    }
-    succ_[static_cast<std::size_t>(from)] |= 1u << to;
-  }
-
-  // Reinitialises the graph from a precomputed adjacency-row set (static
-  // relations carry no self-edges, so the poison flag clears too).
-  void reset(const std::vector<std::uint32_t>& rows) {
-    std::copy(rows.begin(), rows.end(), succ_.begin());
-    self_loop_ = false;
-  }
-
-  bool acyclic() const {
-    if (self_loop_) return false;
-    std::uint32_t removed = 0;
-    const std::uint32_t all = n_ == 32 ? 0xffffffffu : ((1u << n_) - 1u);
-    for (std::size_t round = 0; round < n_; ++round) {
-      bool progress = false;
-      for (std::size_t v = 0; v < n_; ++v) {
-        if (removed & (1u << v)) continue;
-        // v is a sink (no live successors) -> remove it.
-        if ((succ_[v] & ~removed) == 0) {
-          removed |= 1u << v;
-          progress = true;
-        }
-      }
-      if (removed == all) return true;
-      if (!progress) return false;
-    }
-    return removed == all;
-  }
-
- private:
-  std::size_t n_;
-  std::vector<std::uint32_t> succ_;
-  bool self_loop_ = false;
-};
-
 // Preserved program order between instructions i < j of `thread` (both
-// accesses), re-derived from the architecture definitions.
+// accesses), fence ordering included, re-derived from the architecture
+// definitions.
 bool ppo_pair(const LitmusThread& thread, std::size_t i, std::size_t j,
               Arch arch, const AxiomaticOptions& opt) {
   const LitmusInstr& a = thread.instrs[i];
@@ -179,10 +118,7 @@ bool ppo_pair(const LitmusThread& thread, std::size_t i, std::size_t j,
   for (std::size_t f = i + 1; f < j; ++f) {
     const LitmusInstr& fence = thread.instrs[f];
     if (ax_is_access(fence)) continue;
-    AxOrder cls = ax_fence_class(fence.fence);
-    if (opt.drop_tso_store_load_fence && arch == Arch::X86_TSO) {
-      cls.wr = false;
-    }
+    const AxOrder cls = ax_fence_class(fence.fence, arch, opt);
     const bool covered = ax_is_read(a) ? (ax_is_read(b) ? cls.rr : cls.rw)
                                        : (ax_is_read(b) ? cls.wr : cls.ww);
     if (covered) return true;
@@ -190,28 +126,114 @@ bool ppo_pair(const LitmusThread& thread, std::size_t i, std::size_t j,
   return false;
 }
 
-// Recompute the preserved-program-order rows of thread `t`.  This is the
-// only part of the candidate space that depends on fence kinds, so the
-// incremental evaluator calls it per dirty thread instead of rebuilding.
-void compute_ppo_rows(CandidateSpace& s, std::size_t t, Arch arch,
-                      const AxiomaticOptions& opt) {
-  const LitmusThread& thread = s.test->threads[t];
-  for (std::size_t i = 0; i < thread.instrs.size(); ++i) {
-    if (s.event_of[t][i] < 0) continue;
-    const std::size_t ei = static_cast<std::size_t>(s.event_of[t][i]);
-    s.ppo_rows[ei] = 0u;
-    for (std::size_t j = i + 1; j < thread.instrs.size(); ++j) {
-      if (s.event_of[t][j] < 0) continue;
-      const int ej = s.event_of[t][j];
-      if (ppo_pair(thread, i, j, arch, opt)) s.ppo_rows[ei] |= 1u << ej;
-    }
-  }
-}
+// --- Candidate space -------------------------------------------------------
 
-CandidateSpace build_space(const LitmusTest& test, Arch arch,
-                           const AxiomaticOptions& opt) {
-  CandidateSpace s;
-  s.test = &test;
+// Graph nodes are the access events plus, on POWER7, one node per full
+// barrier; adjacency rows are 32-bit sets.
+constexpr std::size_t kMaxNodes = 32;
+
+struct AxEvent {
+  int tid = -1;
+  int idx = -1;  // instruction index within the thread
+  bool write = false;
+  int var = -1;
+  int value = 0;
+  int reg = -1;
+  bool pusher = false;  // POWER7: a write that propagates its thread's
+                        // observed set when it commits
+};
+
+struct AxBarrier {  // POWER7 full barrier
+  int tid = -1;
+  int idx = -1;
+  int node = -1;  // graph node id
+};
+
+struct CandidateSpace {
+  const LitmusTest* test = nullptr;
+  Arch arch = Arch::SC;
+  AxiomaticOptions opt;
+
+  // Access-only half, built once per skeleton.
+  std::vector<AxEvent> events;
+  std::vector<std::vector<int>> event_of;  // by (tid, instr idx); -1 = fence
+  std::vector<int> reads;   // event ids
+  std::vector<int> writes;  // event ids
+  std::vector<std::vector<int>> writes_by_var;
+  // rf candidates per read (position in `reads`): write event ids, -1 = init.
+  std::vector<std::vector<int>> rf_candidates;
+  // Same-location program order as adjacency-row bitsets (bit j of row i set
+  // <=> edge i -> j), so a candidate check starts from a row copy.
+  std::vector<std::uint32_t> poloc;
+
+  // Fence-derived half, recomputed for the threads whose fences change.
+  std::vector<std::uint32_t> ppo;  // preserved program order, fences included
+  // POWER7 only: the full-barrier nodes and the PROPAGATION rows (ppo plus
+  // barrier-po over events + barriers).
+  std::vector<AxBarrier> barriers;
+  std::vector<std::uint32_t> prop;
+};
+
+// Fixed-capacity directed graph over candidate nodes, seeded by a row copy,
+// with an O(n^2) Kahn acyclicity check.  It lives on the stack, so checking
+// a candidate allocates nothing.
+class RowGraph {
+ public:
+  explicit RowGraph(const std::vector<std::uint32_t>& rows) : n_(rows.size()) {
+    std::copy(rows.begin(), rows.end(), succ_.begin());
+  }
+
+  // Returns true when the edge was newly inserted (callers undo with
+  // remove()); self-edges poison the graph into permanent cyclicity.
+  bool add(int from, int to) {
+    if (from == to) {
+      self_loop_ = true;
+      return false;
+    }
+    const std::uint32_t bit = 1u << to;
+    std::uint32_t& row = succ_[static_cast<std::size_t>(from)];
+    if (row & bit) return false;
+    row |= bit;
+    return true;
+  }
+
+  bool has(int from, int to) const {
+    return from == to ||
+           (succ_[static_cast<std::size_t>(from)] & (1u << to)) != 0;
+  }
+
+  void remove(int from, int to) {
+    succ_[static_cast<std::size_t>(from)] &= ~(1u << to);
+  }
+
+  bool acyclic() const {
+    if (self_loop_) return false;
+    std::uint32_t removed = 0;
+    const std::uint32_t all = n_ == 32 ? 0xffffffffu : ((1u << n_) - 1u);
+    for (std::size_t round = 0; round < n_; ++round) {
+      bool progress = false;
+      for (std::size_t v = 0; v < n_; ++v) {
+        if (removed & (1u << v)) continue;
+        // v is a sink (no live successors) -> remove it.
+        if ((succ_[v] & ~removed) == 0) {
+          removed |= 1u << v;
+          progress = true;
+        }
+      }
+      if (removed == all) return true;
+      if (!progress) return false;
+    }
+    return removed == all;
+  }
+
+ private:
+  std::array<std::uint32_t, kMaxNodes> succ_{};
+  std::size_t n_;
+  bool self_loop_ = false;
+};
+
+void build_access_space(CandidateSpace& s) {
+  const LitmusTest& test = *s.test;
   s.event_of.resize(test.threads.size());
   for (std::size_t t = 0; t < test.threads.size(); ++t) {
     s.event_of[t].assign(test.threads[t].instrs.size(), -1);
@@ -229,7 +251,9 @@ CandidateSpace build_space(const LitmusTest& test, Arch arch,
       s.events.push_back(e);
     }
   }
-  if (s.events.size() > kMaxEvents) {
+  // Guards the row shifts; build_barrier_nodes re-checks with the
+  // (assignment-dependent) POWER7 barrier nodes included.
+  if (s.events.size() > kMaxNodes) {
     throw std::invalid_argument("litmus test too large for axiomatic checker");
   }
 
@@ -251,28 +275,111 @@ CandidateSpace build_space(const LitmusTest& test, Arch arch,
     s.rf_candidates.push_back(std::move(cand));
   }
 
-  // Static program-order relations, as row bitsets.
-  s.ppo_rows.assign(s.events.size(), 0u);
-  s.poloc_rows.assign(s.events.size(), 0u);
+  s.poloc.assign(s.events.size(), 0u);
+  s.ppo.assign(s.events.size(), 0u);
   for (std::size_t t = 0; t < test.threads.size(); ++t) {
     const LitmusThread& thread = test.threads[t];
-    compute_ppo_rows(s, t, arch, opt);
     for (std::size_t i = 0; i < thread.instrs.size(); ++i) {
       if (s.event_of[t][i] < 0) continue;
       for (std::size_t j = i + 1; j < thread.instrs.size(); ++j) {
         if (s.event_of[t][j] < 0) continue;
-        const std::size_t ei = static_cast<std::size_t>(s.event_of[t][i]);
-        const int ej = s.event_of[t][j];
         const LitmusInstr& a = thread.instrs[i];
         const LitmusInstr& b = thread.instrs[j];
-        if (!opt.drop_same_location_order && a.var >= 0 && a.var == b.var) {
-          s.poloc_rows[ei] |= 1u << ej;
+        if (!s.opt.drop_same_location_order && a.var >= 0 && a.var == b.var) {
+          s.poloc[static_cast<std::size_t>(s.event_of[t][i])] |=
+              1u << s.event_of[t][j];
         }
       }
     }
   }
+}
+
+// Recompute the fence-derived rows of thread `t`: its ppo rows and, on
+// POWER7, its writes' pusher flags.
+void compute_thread_rows(CandidateSpace& s, std::size_t t) {
+  const LitmusThread& thread = s.test->threads[t];
+  for (std::size_t i = 0; i < thread.instrs.size(); ++i) {
+    if (s.event_of[t][i] < 0) continue;
+    const auto ei = static_cast<std::size_t>(s.event_of[t][i]);
+    s.ppo[ei] = 0u;
+    for (std::size_t j = i + 1; j < thread.instrs.size(); ++j) {
+      if (s.event_of[t][j] < 0) continue;
+      if (ppo_pair(thread, i, j, s.arch, s.opt)) {
+        s.ppo[ei] |= 1u << s.event_of[t][j];
+      }
+    }
+    AxEvent& e = s.events[ei];
+    if (s.arch != Arch::POWER7 || !e.write) continue;
+    // Cumulativity trigger, mirroring the operational executor: the write
+    // propagates its thread's observed set when it commits if it is a
+    // release store or any store-store ordering fence precedes it in program
+    // order (anywhere before, not only adjacent).
+    e.pusher = thread.instrs[i].release;
+    for (std::size_t f = 0; f < i && !e.pusher; ++f) {
+      const LitmusInstr& fi = thread.instrs[f];
+      e.pusher = !ax_is_access(fi) && ax_fence_class(fi.fence, s.arch, s.opt).ww;
+    }
+  }
+}
+
+// POWER7: list the full-barrier nodes and fold the PROPAGATION rows.  Always
+// rebuilt after a fence change, because node ids shift with the barrier
+// count.  Barrier-po: a sync node sits between its po-predecessors and
+// po-successors in any commit interleaving.
+void build_barrier_nodes(CandidateSpace& s) {
+  const LitmusTest& test = *s.test;
+  s.barriers.clear();
+  for (std::size_t t = 0; t < test.threads.size(); ++t) {
+    const LitmusThread& thread = test.threads[t];
+    for (std::size_t i = 0; i < thread.instrs.size(); ++i) {
+      const LitmusInstr& in = thread.instrs[i];
+      if (ax_is_access(in) || !ax_fence_class(in.fence, s.arch, s.opt).full()) {
+        continue;
+      }
+      s.barriers.push_back(
+          {static_cast<int>(t), static_cast<int>(i),
+           static_cast<int>(s.events.size() + s.barriers.size())});
+    }
+  }
+  const std::size_t nodes = s.events.size() + s.barriers.size();
+  if (nodes > kMaxNodes) {
+    throw std::invalid_argument("litmus test too large for axiomatic checker");
+  }
+  s.prop = s.ppo;
+  s.prop.resize(nodes, 0u);
+  for (const AxBarrier& b : s.barriers) {
+    for (std::size_t e = 0; e < s.events.size(); ++e) {
+      const AxEvent& ev = s.events[e];
+      if (ev.tid != b.tid) continue;
+      if (ev.idx < b.idx) {
+        s.prop[e] |= 1u << b.node;
+      } else {
+        s.prop[static_cast<std::size_t>(b.node)] |= 1u << e;
+      }
+    }
+    for (const AxBarrier& other : s.barriers) {
+      if (other.tid == b.tid && other.idx < b.idx) {
+        s.prop[static_cast<std::size_t>(other.node)] |= 1u << b.node;
+      }
+    }
+  }
+}
+
+CandidateSpace make_space(const LitmusTest& test, Arch arch,
+                          const AxiomaticOptions& opt) {
+  CandidateSpace s;
+  s.test = &test;
+  s.arch = arch;
+  s.opt = opt;
+  build_access_space(s);
+  for (std::size_t t = 0; t < test.threads.size(); ++t) {
+    compute_thread_rows(s, t);
+  }
+  if (arch == Arch::POWER7) build_barrier_nodes(s);
   return s;
 }
+
+// --- Candidates --------------------------------------------------------------
 
 // One fully chosen candidate execution.
 struct Candidate {
@@ -282,29 +389,49 @@ struct Candidate {
   std::vector<std::vector<int>> co;
 };
 
-// Communication edges (rf, co chain, fr via immediate co successors) added to
-// `g`.  Using only immediate co successors is equivalent for acyclicity since
-// full co/fr are contained in the transitive closure of the chain form.
-void add_com_edges(EdgeGraph& g, const CandidateSpace& s, const Candidate& c,
-                   bool include_fr) {
+// Position of write `w` in its variable's coherence chain; -1 for the
+// initial value (w < 0).
+int co_position(const CandidateSpace& s, const Candidate& c, int w) {
+  if (w < 0) return -1;
+  const std::vector<int>& chain =
+      c.co[static_cast<std::size_t>(s.events[static_cast<std::size_t>(w)].var)];
+  const auto it = std::find(chain.begin(), chain.end(), w);
+  return static_cast<int>(it - chain.begin());
+}
+
+// Communication edges.  co and fr use immediate co successors only, which is
+// equivalent for acyclicity since full co/fr are contained in the transitive
+// closure of the chain form.
+void add_co_edges(RowGraph& g, const Candidate& c) {
   for (const std::vector<int>& chain : c.co) {
     for (std::size_t k = 0; k + 1 < chain.size(); ++k) {
       g.add(chain[k], chain[k + 1]);
     }
   }
+}
+
+void add_rf_edges(RowGraph& g, const CandidateSpace& s, const Candidate& c,
+                  bool external_only) {
+  for (std::size_t k = 0; k < s.reads.size(); ++k) {
+    const int w = c.rf[k];
+    if (w < 0) continue;
+    if (external_only &&
+        s.events[static_cast<std::size_t>(w)].tid ==
+            s.events[static_cast<std::size_t>(s.reads[k])].tid) {
+      continue;
+    }
+    g.add(w, s.reads[k]);
+  }
+}
+
+void add_fr_edges(RowGraph& g, const CandidateSpace& s, const Candidate& c) {
   for (std::size_t k = 0; k < s.reads.size(); ++k) {
     const int r = s.reads[k];
-    const int w = c.rf[k];
-    if (w >= 0) g.add(w, r);
-    if (!include_fr) continue;
     const std::vector<int>& chain =
         c.co[static_cast<std::size_t>(s.events[static_cast<std::size_t>(r)].var)];
-    if (w < 0) {
-      // Read of the initial value precedes every write to the location.
-      if (!chain.empty()) g.add(r, chain.front());
-    } else {
-      const auto it = std::find(chain.begin(), chain.end(), w);
-      if (it != chain.end() && it + 1 != chain.end()) g.add(r, *(it + 1));
+    const int pos = co_position(s, c, c.rf[k]);
+    if (pos + 1 < static_cast<int>(chain.size())) {
+      g.add(r, chain[static_cast<std::size_t>(pos) + 1]);
     }
   }
 }
@@ -326,29 +453,17 @@ Outcome outcome_of(const CandidateSpace& s, const Candidate& c) {
   return out;
 }
 
-// Does this candidate satisfy the architecture's axioms?
-bool candidate_allowed(const CandidateSpace& s, const Candidate& c) {
-  EdgeGraph g(s.events.size());
-  // Multi-copy-atomic architectures: acyclic(ppo ∪ rf ∪ co ∪ fr), exact.
-  g.reset(s.ppo_rows);
-  add_com_edges(g, s, c, /*include_fr=*/true);
-  return g.acyclic();
-}
-
 // Enumerate every (rf, co) candidate, calling `visit(c)`; `visit` returns
-// true to stop early.
+// true to stop early.  An odometer over the per-variable coherence
+// permutations, with every rf choice enumerated under each.
 template <typename Visit>
 void for_each_candidate(const CandidateSpace& s, const Visit& visit) {
   Candidate c;
   c.rf.assign(s.reads.size(), -1);
-  c.co.resize(s.writes_by_var.size());
+  std::vector<std::vector<int>> perm = s.writes_by_var;
+  for (auto& p : perm) std::sort(p.begin(), p.end());
+  c.co = perm;
 
-  // Odometer over per-variable coherence permutations.
-  std::vector<std::vector<int>> perms = s.writes_by_var;
-  for (auto& p : perms) std::sort(p.begin(), p.end());
-
-  const std::size_t nvars = perms.size();
-  // Recursive enumeration: vars (permutations), then reads (rf choices).
   struct Enumerator {
     const CandidateSpace& s;
     Candidate& c;
@@ -370,28 +485,181 @@ void for_each_candidate(const CandidateSpace& s, const Visit& visit) {
   };
 
   Enumerator en{s, c, visit};
-  std::vector<std::vector<int>> perm = perms;
-  // Iterate the cartesian product of per-variable permutations.
-  std::size_t v = 0;
-  // Initialise all chains to the first permutation.
-  for (std::size_t i = 0; i < nvars; ++i) c.co[i] = perm[i];
   while (true) {
     en.rf_level(0);
     if (en.stopped) return;
-    // Advance the permutation odometer.
-    for (v = 0; v < nvars; ++v) {
-      if (std::next_permutation(perm[v].begin(), perm[v].end())) {
-        c.co[v] = perm[v];
-        break;
-      }
-      // Wrapped: std::next_permutation left it sorted (first permutation).
-      c.co[v] = perm[v];
+    std::size_t v = 0;
+    for (; v < perm.size(); ++v) {
+      const bool advanced = std::next_permutation(perm[v].begin(), perm[v].end());
+      c.co[v] = perm[v];  // on a wrap, next_permutation left it sorted
+      if (advanced) break;
     }
-    if (v == nvars) return;
+    if (v == perm.size()) return;
   }
 }
 
+// --- POWER7 OBSERVATION ------------------------------------------------------
+
+// A disjunctive obligation on the witnessing commit interleaving: edge
+// (a1 -> b1) or edge (a2 -> b2) must hold.  Derived from cumulativity
+// pushes whose triggering observation is not forced by program order.
+struct Obligation {
+  int a1, b1, a2, b2;
+};
+
+// Try every orientation of the obligations; true iff some orientation keeps
+// the graph acyclic (i.e. a witnessing total order exists).
+bool orient_obligations(RowGraph& g, const std::vector<Obligation>& obs,
+                        std::size_t i) {
+  if (i == obs.size()) return g.acyclic();
+  const Obligation& o = obs[i];
+  // Already satisfied by an edge present in the graph: no choice to make.
+  if (g.has(o.a1, o.b1) || g.has(o.a2, o.b2)) {
+    return orient_obligations(g, obs, i + 1);
+  }
+  for (const auto& [from, to] : {std::pair{o.a1, o.b1}, std::pair{o.a2, o.b2}}) {
+    const bool added = g.add(from, to);
+    if (g.acyclic() && orient_obligations(g, obs, i + 1)) return true;
+    if (added) g.remove(from, to);
+  }
+  return false;
+}
+
+// Add the forced-visibility edges implied by the operational push/catch-up
+// rules to the PROPAGATION graph `g`, collect the disjunctive obligations,
+// and decide whether a witnessing orientation exists.
+bool observation_holds(const CandidateSpace& s, const Candidate& c,
+                       RowGraph& g) {
+  const bool b_cumulative = !s.opt.power.drop_b_cumulativity;
+  std::vector<Obligation> obligations;
+
+  // Reads of thread U whose rf source is write `w`, committed before
+  // instruction index `before_idx` by program order — the forced part of
+  // U's observed set (B-cumulativity channel).
+  auto observed_by_po = [&](int w, int tid, int before_idx) {
+    if (!b_cumulative) return false;
+    for (std::size_t k = 0; k < s.reads.size(); ++k) {
+      const AxEvent& r2 = s.events[static_cast<std::size_t>(s.reads[k])];
+      if (r2.tid == tid && r2.idx < before_idx && c.rf[k] == w) return true;
+    }
+    return false;
+  };
+
+  for (std::size_t k = 0; k < s.reads.size(); ++k) {
+    const int r = s.reads[k];
+    const AxEvent& re = s.events[static_cast<std::size_t>(r)];
+    const int w = c.rf[k];
+    const int wpos = co_position(s, c, w);
+    const std::vector<int>& chain = c.co[static_cast<std::size_t>(re.var)];
+
+    // Source visibility: an external source must be undelayed for the
+    // reading thread, so it becomes visible the moment it commits; every
+    // same-thread read of an older coherence generation must therefore
+    // commit first.  (fre ; rf⁻¹ same-thread ordering.)
+    if (w >= 0 && s.events[static_cast<std::size_t>(w)].tid != re.tid) {
+      for (std::size_t k2 = 0; k2 < s.reads.size(); ++k2) {
+        const int r2 = s.reads[k2];
+        const AxEvent& r2e = s.events[static_cast<std::size_t>(r2)];
+        if (r2 == r || r2e.tid != re.tid || r2e.var != re.var) continue;
+        if (co_position(s, c, c.rf[k2]) < wpos) g.add(r2, w);
+      }
+    }
+
+    // Obscurers: external writes coherence-after the source.  If one is
+    // forced to be visible to this thread before the read commits, the
+    // read cannot return its older source.
+    for (int p = wpos + 1; p < static_cast<int>(chain.size()); ++p) {
+      const int w2 = chain[static_cast<std::size_t>(p)];
+      const AxEvent& w2e = s.events[static_cast<std::size_t>(w2)];
+      if (w2e.tid == re.tid) continue;  // own writes: SC-per-location
+
+      // (1) A pushing write propagates itself on commit (it is never
+      //     delayable), so the stale read must commit first.
+      if (w2e.pusher) g.add(r, w2);
+
+      for (const AxBarrier& f : s.barriers) {
+        // (2) Reader catch-up: a sync in the reading thread po-before the
+        //     read makes everything already committed visible, so the
+        //     obscurer must commit after that sync.
+        if (f.tid == re.tid && f.idx < re.idx) g.add(f.node, w2);
+        // (3) Barrier push: a sync whose thread has observed the obscurer
+        //     (its own earlier write, or an earlier read of it) propagates
+        //     it to everyone, so the stale read must commit before the sync.
+        const bool own = w2e.tid == f.tid && w2e.idx < f.idx;
+        if (own || observed_by_po(w2, f.tid, f.idx)) g.add(r, f.node);
+      }
+
+      // (4) Write push: a pushing write x propagates the obscurer if its
+      //     thread observed the obscurer before x commits.  When the
+      //     observation is an unordered same-thread event, the trigger is
+      //     not forced: either x commits before the observation (no push)
+      //     or the stale read commits before x.
+      for (int x : s.writes) {
+        const AxEvent& xe = s.events[static_cast<std::size_t>(x)];
+        if (!xe.pusher || x == w2) continue;
+        if (w2e.tid == xe.tid) obligations.push_back({x, w2, r, x});
+        if (!b_cumulative) continue;
+        for (std::size_t k2 = 0; k2 < s.reads.size(); ++k2) {
+          const int r2 = s.reads[k2];
+          const AxEvent& r2e = s.events[static_cast<std::size_t>(r2)];
+          if (r2e.tid != xe.tid || c.rf[k2] != w2) continue;
+          obligations.push_back({x, r2, r, x});
+        }
+      }
+    }
+  }
+
+  if (!g.acyclic()) return false;
+  return orient_obligations(g, obligations, 0);
+}
+
+// --- The axioms --------------------------------------------------------------
+
+// The first axiom the candidate violates; PowerAxiom::None when it is
+// allowed.  SC, TSO and ARMv8 stop after the first check, which they run
+// with the ppo rows in place of po-loc: acyclic(ppo ∪ rf ∪ co ∪ fr).
+PowerAxiom check_candidate(const CandidateSpace& s, const Candidate& c) {
+  const bool power = s.arch == Arch::POWER7;
+  {
+    // SC-PER-LOCATION: acyclic(poloc ∪ rf ∪ co ∪ fr).
+    RowGraph g(power ? s.poloc : s.ppo);
+    add_rf_edges(g, s, c, /*external_only=*/false);
+    add_co_edges(g, c);
+    add_fr_edges(g, s, c);
+    if (!g.acyclic()) return PowerAxiom::ScPerLocation;
+  }
+  if (!power) return PowerAxiom::None;
+  {
+    // NO-THIN-AIR: acyclic(hb), hb = ppo ∪ rfe.
+    RowGraph g(s.ppo);
+    add_rf_edges(g, s, c, /*external_only=*/true);
+    if (!g.acyclic()) return PowerAxiom::NoThinAir;
+  }
+  // PROPAGATION: coherence embeds into the single commit interleaving that
+  // also linearises hb and the sync nodes.
+  RowGraph g(s.prop);
+  add_rf_edges(g, s, c, /*external_only=*/false);
+  add_co_edges(g, c);
+  if (!g.acyclic()) return PowerAxiom::Propagation;
+  // OBSERVATION: forced visibility from cumulativity pushes and catch-up.
+  if (!s.opt.power.drop_observation && !observation_holds(s, c, g)) {
+    return PowerAxiom::Observation;
+  }
+  return PowerAxiom::None;
+}
+
 }  // namespace
+
+const char* power_axiom_name(PowerAxiom axiom) {
+  switch (axiom) {
+    case PowerAxiom::None: return "none";
+    case PowerAxiom::ScPerLocation: return "SC-PER-LOCATION";
+    case PowerAxiom::NoThinAir: return "NO-THIN-AIR";
+    case PowerAxiom::Propagation: return "PROPAGATION";
+    case PowerAxiom::Observation: return "OBSERVATION";
+  }
+  return "?";
+}
 
 bool axiomatic_ppo(const LitmusThread& thread, std::size_t i, std::size_t j,
                    Arch arch, const AxiomaticOptions& options) {
@@ -416,19 +684,32 @@ bool axiomatic_allowed(const LitmusTest& test, const Outcome& outcome,
   return ev.allowed(outcome);
 }
 
+PowerAxiom power_forbidding_axiom(const LitmusTest& test,
+                                  const Outcome& outcome,
+                                  const AxiomaticOptions& options) {
+  const CandidateSpace s = make_space(test, Arch::POWER7, options);
+  // Deepest check reached by any candidate producing the outcome: earlier
+  // axioms passed for that candidate, so this one did the real forbidding.
+  PowerAxiom deepest = PowerAxiom::ScPerLocation;
+  bool allowed = false;
+  for_each_candidate(s, [&](const Candidate& c) {
+    if (outcome_of(s, c) != outcome) return false;
+    const PowerAxiom verdict = check_candidate(s, c);
+    allowed = verdict == PowerAxiom::None;
+    deepest = std::max(deepest, verdict);
+    return allowed;
+  });
+  return allowed ? PowerAxiom::None : deepest;
+}
+
 struct AxiomaticEvaluator::Impl {
   LitmusTest test;  // mutable copy: set_assignment rewrites fence slots
-  Arch arch;
-  AxiomaticOptions opt;
   std::vector<FenceSlotRef> slots;
   CandidateSpace space;  // space.test points at `test` above
 
-  Impl(const LitmusTest& skeleton, Arch a, std::vector<FenceSlotRef> sl,
+  Impl(const LitmusTest& skeleton, Arch arch, std::vector<FenceSlotRef> sl,
        const AxiomaticOptions& options)
-      : test(skeleton), arch(a), opt(options), slots(std::move(sl)) {
-    if (allows_early_forwarding(arch)) {
-      throw std::invalid_argument("POWER7 is checked by axiomatic_power.h");
-    }
+      : test(skeleton), slots(std::move(sl)) {
     for (const FenceSlotRef& slot : slots) {
       const auto t = static_cast<std::size_t>(slot.tid);
       const auto i = static_cast<std::size_t>(slot.idx);
@@ -437,7 +718,7 @@ struct AxiomaticEvaluator::Impl {
         throw std::invalid_argument("fence slot does not name a fence");
       }
     }
-    space = build_space(test, arch, opt);
+    space = make_space(test, arch, options);
   }
 };
 
@@ -456,10 +737,10 @@ void AxiomaticEvaluator::set_assignment(const std::vector<FenceKind>& kinds) {
   if (kinds.size() != im.slots.size()) {
     throw std::invalid_argument("assignment size does not match slot count");
   }
-  // Fences are not candidate events, so the event space and the rf/po-loc
-  // relations are invariant; only the ppo rows of threads whose fence kinds
-  // actually changed need recomputing.
+  // Fences are not candidate events, so the access-only half is invariant;
+  // only the threads whose fence kinds actually changed are recomputed.
   std::vector<bool> dirty(im.test.threads.size(), false);
+  bool any = false;
   for (std::size_t k = 0; k < kinds.size(); ++k) {
     LitmusInstr& in =
         im.test.threads[static_cast<std::size_t>(im.slots[k].tid)]
@@ -467,18 +748,21 @@ void AxiomaticEvaluator::set_assignment(const std::vector<FenceKind>& kinds) {
     if (in.fence == kinds[k]) continue;
     in.fence = kinds[k];
     dirty[static_cast<std::size_t>(im.slots[k].tid)] = true;
+    any = true;
   }
   for (std::size_t t = 0; t < dirty.size(); ++t) {
-    if (dirty[t]) compute_ppo_rows(im.space, t, im.arch, im.opt);
+    if (dirty[t]) compute_thread_rows(im.space, t);
   }
+  if (any && im.space.arch == Arch::POWER7) build_barrier_nodes(im.space);
 }
 
 std::set<Outcome> AxiomaticEvaluator::outcomes() const {
-  WMM_PROFILE_SPAN(obs::Phase::AxCheck);
   const Impl& im = *impl_;
+  WMM_PROFILE_SPAN(im.space.arch == Arch::POWER7 ? obs::Phase::AxPowerCheck
+                                                 : obs::Phase::AxCheck);
   std::set<Outcome> out;
   for_each_candidate(im.space, [&](const Candidate& c) {
-    if (candidate_allowed(im.space, c)) {
+    if (check_candidate(im.space, c) == PowerAxiom::None) {
       out.insert(outcome_of(im.space, c));
     }
     return false;
@@ -490,12 +774,9 @@ bool AxiomaticEvaluator::allowed(const Outcome& outcome) const {
   const Impl& im = *impl_;
   bool found = false;
   for_each_candidate(im.space, [&](const Candidate& c) {
-    if (candidate_allowed(im.space, c) &&
-        outcome_of(im.space, c) == outcome) {
-      found = true;
-      return true;
-    }
-    return false;
+    found = check_candidate(im.space, c) == PowerAxiom::None &&
+            outcome_of(im.space, c) == outcome;
+    return found;
   });
   return found;
 }

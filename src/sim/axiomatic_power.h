@@ -1,95 +1,15 @@
-// Exact Herding-Cats axiomatisation of the simulated POWER memory model.
-//
-// The generic checker in axiomatic.h covers the multi-copy-atomic
-// architectures (SC, x86-TSO, ARMv8) with the single axiom
-// acyclic(ppo ∪ rf ∪ co ∪ fr).  POWER7 is *not* multi-copy-atomic here: the
-// operational executor (memory_model.cpp) lets every write's visibility be
-// delayed per observing thread, and makes barriers *cumulative* — a write
-// that a thread has observed is propagated to everyone when that thread
-// subsequently executes a sync, or commits a write past a store-store
-// ordering fence (lwsync/sync/dmb ishst) or a release store.  A single
-// acyclicity axiom cannot express that, which is why PR 1 only sandwich-
-// bounded POWER.  This header closes the gap with a full Herding-Cats
-// (Alglave, Maranget & Tautschnig, TOPLAS 2014) style model: candidate
-// executions (rf, co) are accepted iff four axioms hold:
-//
-//   SC-PER-LOCATION  acyclic(poloc ∪ rf ∪ co ∪ fr)
-//       per-location coherence: the commit order respects po per location,
-//       reads are per-thread monotone in co (the executor's "floor"), and a
-//       thread always sees its own writes.
-//
-//   NO-THIN-AIR      acyclic(hb),  hb = ppo ∪ fences ∪ rfe
-//       ppo is POWER's preserved program order (address/data dependencies,
-//       control dependencies to writes, same-location order, acquire/
-//       release), fences the po pairs ordered by an intervening fence's
-//       ordering classes, rfe external reads-from.
-//
-//   PROPAGATION      acyclic(co ∪ prop),  prop ⊇ hb⁺ ∩ (W × W)
-//       coherence must embed into the single global commit interleaving,
-//       which also linearises every hb edge; a cycle of co and write-to-
-//       write hb paths (e.g. 2+2W+lwsyncs) is unimplementable.
-//
-//   OBSERVATION      irreflexive(fre ; prop ; hb*)
-//       the cumulativity axiom, realised as *forced-visibility* constraints
-//       derived from the operational push/catch-up rules (see
-//       axiomatic_power.cpp for the construction):
-//         - a release store or a write po-after a store-store fence pushes
-//           every write its thread has observed (its own program-earlier
-//           writes: A-cumulativity; writes it read: B-cumulativity) to all
-//           threads when it commits, and is itself never delayable;
-//         - a sync pushes the observed set and catches its own thread up on
-//           everything already committed.
-//       A read must not read coherence-before a write that one of these
-//       rules forces to be visible to its thread.  Constraints whose
-//       triggering observation is not forced by hb become *disjunctive
-//       obligations* on the global order ("the pusher commits before the
-//       observation, or the stale read commits before the pusher"); the
-//       candidate is accepted iff some orientation of all obligations is
-//       acyclic — exactly the existence of a witnessing interleaving.
-//
-// The model is exact for the operational executor: the differential fuzzer
-// (fuzz.h) checks operational-set == axiomatic-set equality on POWER, the
-// same criterion the other architectures get.  See DESIGN.md §3a for the
-// equivalence argument and docs/models.md for the verdict table.
+// POWER7 entry points of the axiomatic engine (axiomatic.h), which holds
+// the exact Herding-Cats model of the simulated POWER machine: the four
+// axioms SC-PER-LOCATION, NO-THIN-AIR, PROPAGATION and OBSERVATION.  This
+// header names those axioms and asks which one forbids an outcome; the
+// outcome sets themselves come from axiomatic_outcomes(test, Arch::POWER7).
 #pragma once
 
-#include <cstddef>
-#include <memory>
 #include <set>
-#include <string>
-#include <vector>
 
-#include "sim/memory_model.h"
+#include "sim/axiomatic.h"
 
 namespace wmm::sim {
-
-// Position of a mutable fence instruction inside a litmus skeleton; used by
-// the incremental evaluators (here and in axiomatic.h) that the
-// fence-synthesis search drives.
-struct FenceSlotRef {
-  int tid = 0;
-  int idx = 0;  // instruction index within the thread (must be a fence)
-};
-
-// Deliberate single-constraint weakenings, used by the fuzzer's teeth
-// self-test: enabling any one of these must make the POWER differential
-// corpus report a divergence.
-struct PowerAxiomaticOptions {
-  // Treat lwsync as a full sync (catch-up + store->load order): wrongly
-  // *forbids* e.g. SB+lwsyncs, which POWER allows.
-  bool lwsync_is_sync = false;
-  // Drop B-cumulativity: barriers/pushing writes propagate only the
-  // thread's own earlier writes, not writes it observed through reads —
-  // wrongly admits WRC+sync+addr.
-  bool drop_b_cumulativity = false;
-  // Drop the OBSERVATION axiom entirely (no forced visibility at all):
-  // wrongly admits MP+lwsync+addr.
-  bool drop_observation = false;
-
-  bool any() const {
-    return lwsync_is_sync || drop_b_cumulativity || drop_observation;
-  }
-};
 
 // The four Herding-Cats checks, in the order they are applied.  `None`
 // means the candidate (or outcome) is allowed.
@@ -103,66 +23,19 @@ enum class PowerAxiom {
 
 const char* power_axiom_name(PowerAxiom axiom);
 
-// All outcomes (register values then final variable values, the layout of
-// enumerate_outcomes) admitted by the POWER axioms.
-std::set<Outcome> power_axiomatic_outcomes(
-    const LitmusTest& test, const PowerAxiomaticOptions& options = {});
-
-// Membership query (short-circuits the candidate enumeration).
-bool power_axiomatic_allowed(const LitmusTest& test, const Outcome& outcome,
-                             const PowerAxiomaticOptions& options = {});
+// All outcomes admitted by the POWER axioms.
+inline std::set<Outcome> power_axiomatic_outcomes(const LitmusTest& test) {
+  return axiomatic_outcomes(test, Arch::POWER7);
+}
 
 // Which axiom forbids `outcome`?  Returns PowerAxiom::None when the outcome
 // is allowed; otherwise the *latest* check reached by any candidate
 // execution producing the outcome — i.e. the axiom that did the real work
-// (every earlier check passed for at least one candidate).  Used by tests
-// and docs/models.md to pin each classic shape to the axiom that kills it.
+// (every earlier check passed for at least one candidate).  Used by tests,
+// litmus_matrix and the fuzzer's divergence reports to pin each shape to the
+// axiom that kills it.
 PowerAxiom power_forbidding_axiom(const LitmusTest& test,
                                   const Outcome& outcome,
-                                  const PowerAxiomaticOptions& options = {});
-
-// POWER preserved program order between instructions i < j of `thread`
-// (both must be read/write instructions), exposed for tests.  Fence-induced
-// ordering is *not* part of ppo — see power_fence_ordered.
-bool power_ppo(const LitmusThread& thread, std::size_t i, std::size_t j);
-
-// True when some fence strictly between accesses i < j orders the pair
-// (the `fences` relation restricted to this thread).
-bool power_fence_ordered(const LitmusThread& thread, std::size_t i,
-                         std::size_t j,
-                         const PowerAxiomaticOptions& options = {});
-
-// Incremental form of the POWER checker for the fence-synthesis search.
-// The access-only half of the candidate space (events, reads-from
-// candidates, ppo and po-loc rows) is built once per skeleton;
-// `set_assignment` rewrites the fence kinds at the registered slots and
-// recomputes only the fence-derived state: pusher flags and fences rows of
-// changed threads, the full-barrier node list, and the folded per-axiom
-// stage rows.  Crucially the barrier *nodes* are rebuilt per assignment —
-// pre-materialising nodes for empty slots would thread spurious
-// barrier-po edges through the PROPAGATION stage.  The batch entry points
-// below are the zero-slot special case of this class.
-class PowerAxiomaticEvaluator {
- public:
-  PowerAxiomaticEvaluator(const LitmusTest& skeleton,
-                          std::vector<FenceSlotRef> slots,
-                          const PowerAxiomaticOptions& options = {});
-  ~PowerAxiomaticEvaluator();
-  PowerAxiomaticEvaluator(PowerAxiomaticEvaluator&&) noexcept;
-  PowerAxiomaticEvaluator& operator=(PowerAxiomaticEvaluator&&) noexcept;
-
-  // `kinds[i]` replaces the fence at slot i.  Size must match the slot list.
-  void set_assignment(const std::vector<FenceKind>& kinds);
-
-  // Verdicts under the current assignment (same semantics as the batch
-  // entry points).
-  std::set<Outcome> outcomes() const;
-  bool allowed(const Outcome& outcome) const;
-  PowerAxiom forbidding_axiom(const Outcome& outcome) const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
+                                  const AxiomaticOptions& options = {});
 
 }  // namespace wmm::sim

@@ -10,11 +10,11 @@
 //
 //     build/bench/fuzz_conformance --arch=arm --replay=0x1234abcd
 //
-// Conformance per architecture:
-//   SC / X86_TSO / ARMV8 — exact equality of the outcome sets against the
-//                          single-axiom checker (axiomatic.h).
-//   POWER7              — exact equality against the Herding-Cats POWER model
-//                          (axiomatic_power.h).
+// Conformance is exact outcome-set equality on every architecture.  The
+// axiomatic side is one candidate-execution engine applying each
+// architecture's own axioms: acyclic(ppo ∪ rf ∪ co ∪ fr) on SC, X86_TSO and
+// ARMV8, the four Herding-Cats axioms on POWER7.  A POWER7 divergence also
+// names the axiom that forbade the outcome (axiomatic_power.h).
 #pragma once
 
 #include <cstdint>
@@ -32,9 +32,8 @@ class ResultCache;
 namespace wmm::sim {
 
 // Program-shape bounds for the generator.  The defaults keep both the
-// operational interleaving enumeration and the axiomatic candidate
-// enumeration tractable; POWER gets tighter bounds because its visibility-
-// delay enumeration is exponential in the number of (write, observer) pairs.
+// operational search and the axiomatic candidate enumeration tractable;
+// POWER gets tighter bounds (see FuzzConfig::for_arch).
 struct FuzzConfig {
   int min_threads = 2;
   int max_threads = 4;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
-#include <optional>
 #include <set>
 #include <utility>
 
@@ -43,9 +42,7 @@ SynthProblem make_problem(const sim::LitmusTest& test, sim::Arch arch,
 
 std::vector<sim::Outcome> sc_forbidden_outcomes(const sim::LitmusTest& test,
                                                 sim::Arch arch) {
-  const std::set<sim::Outcome> relaxed =
-      arch == sim::Arch::POWER7 ? sim::power_axiomatic_outcomes(test)
-                                : sim::axiomatic_outcomes(test, arch);
+  const std::set<sim::Outcome> relaxed = sim::axiomatic_outcomes(test, arch);
   const std::set<sim::Outcome> sc =
       sim::axiomatic_outcomes(test, sim::Arch::SC);
   std::vector<sim::Outcome> forbidden;
@@ -54,27 +51,31 @@ std::vector<sim::Outcome> sc_forbidden_outcomes(const sim::LitmusTest& test,
   return forbidden;
 }
 
+namespace {
+
+std::vector<sim::FenceSlotRef> slot_refs(const SynthProblem& problem) {
+  std::vector<sim::FenceSlotRef> refs;
+  refs.reserve(problem.slots.size());
+  for (const Slot& s : problem.slots) refs.push_back(s.ref);
+  return refs;
+}
+
+}  // namespace
+
 struct SynthOracle::Impl {
   std::vector<sim::Outcome> forbidden;
-  // Exactly one of the two evaluators is engaged, by architecture.
-  std::optional<sim::PowerAxiomaticEvaluator> power;
-  std::optional<sim::AxiomaticEvaluator> generic;
+  sim::AxiomaticEvaluator evaluator;
   std::map<std::vector<sim::FenceKind>, bool> memo;
   std::uint64_t queries = 0;
 };
 
 SynthOracle::SynthOracle(const SynthProblem& problem)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->forbidden = problem.forbidden;
-  std::vector<sim::FenceSlotRef> refs;
-  refs.reserve(problem.slots.size());
-  for (const Slot& s : problem.slots) refs.push_back(s.ref);
-  if (problem.arch == sim::Arch::POWER7) {
-    impl_->power.emplace(problem.skeleton, std::move(refs));
-  } else {
-    impl_->generic.emplace(problem.skeleton, problem.arch, std::move(refs));
-  }
-}
+    : impl_(std::make_unique<Impl>(Impl{
+          problem.forbidden,
+          sim::AxiomaticEvaluator(problem.skeleton, problem.arch,
+                                  slot_refs(problem)),
+          {},
+          0})) {}
 
 SynthOracle::~SynthOracle() = default;
 SynthOracle::SynthOracle(SynthOracle&&) noexcept = default;
@@ -84,24 +85,10 @@ bool SynthOracle::correct(const Assignment& a) {
   auto [it, fresh] = impl_->memo.try_emplace(a.kinds, false);
   if (!fresh) return it->second;
   ++impl_->queries;
-  bool ok = true;
-  if (impl_->power) {
-    impl_->power->set_assignment(a.kinds);
-    for (const sim::Outcome& o : impl_->forbidden) {
-      if (impl_->power->allowed(o)) {
-        ok = false;
-        break;
-      }
-    }
-  } else {
-    impl_->generic->set_assignment(a.kinds);
-    for (const sim::Outcome& o : impl_->forbidden) {
-      if (impl_->generic->allowed(o)) {
-        ok = false;
-        break;
-      }
-    }
-  }
+  impl_->evaluator.set_assignment(a.kinds);
+  const bool ok = std::none_of(
+      impl_->forbidden.begin(), impl_->forbidden.end(),
+      [&](const sim::Outcome& o) { return impl_->evaluator.allowed(o); });
   it->second = ok;
   return ok;
 }

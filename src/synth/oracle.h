@@ -54,15 +54,14 @@ SynthProblem make_problem(const sim::LitmusTest& test, sim::Arch arch,
                           std::vector<sim::Outcome> forbidden);
 
 // The default synthesis objective: the outcomes `arch` admits that SC does
-// not ("restore sequential consistency"), in std::set order.  Uses the
-// exact POWER model on POWER7 and the single-axiom checker elsewhere.
+// not ("restore sequential consistency"), in std::set order, as the
+// axiomatic oracle (axiomatic.h) decides them.
 std::vector<sim::Outcome> sc_forbidden_outcomes(const sim::LitmusTest& test,
                                                 sim::Arch arch);
 
 // Incremental correctness oracle over a problem's assignment lattice.
-// Wraps PowerAxiomaticEvaluator (POWER7) or AxiomaticEvaluator (SC, TSO,
-// ARMv8) and memoizes verdicts, so repeated queries (the greedy descent
-// revisits neighbours) cost nothing.
+// Wraps one incremental AxiomaticEvaluator and memoizes verdicts, so
+// repeated queries (the greedy descent revisits neighbours) cost nothing.
 class SynthOracle {
  public:
   explicit SynthOracle(const SynthProblem& problem);

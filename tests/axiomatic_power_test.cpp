@@ -1,5 +1,6 @@
-// The exact Herding-Cats POWER oracle (axiomatic_power.h): relation-level
-// unit tests for ppo/fences, per-axiom verdicts on the classic shapes,
+// The exact Herding-Cats POWER model of the axiomatic engine (axiomatic.h,
+// axiomatic_power.h): relation-level unit tests for POWER's ppo and fence
+// classes, per-axiom verdicts on the classic shapes,
 // set-level agreement with the operational executor on the curated suite,
 // and monotonicity of the deliberate weakenings used by the fuzzer's teeth.
 #include <gtest/gtest.h>
@@ -19,34 +20,34 @@ TEST(PowerPpo, SameLocationAndDependencies) {
   // W x; R y — nothing preserved on POWER.
   LitmusThread t;
   t.instrs = {LitmusInstr::write(0, 1), LitmusInstr::read(0, 1)};
-  EXPECT_FALSE(power_ppo(t, 0, 1));
+  EXPECT_FALSE(axiomatic_ppo(t, 0, 1, Arch::POWER7));
 
   // Same location is always preserved (po-loc ⊆ ppo).
   t.instrs = {LitmusInstr::write(0, 1), LitmusInstr::read(0, 0)};
-  EXPECT_TRUE(power_ppo(t, 0, 1));
+  EXPECT_TRUE(axiomatic_ppo(t, 0, 1, Arch::POWER7));
 
   // Address dependency read -> read.
   LitmusInstr addr_read = LitmusInstr::read(1, 0);
   addr_read.addr_dep = 0;
   t.instrs = {LitmusInstr::read(0, 1), addr_read};
-  EXPECT_TRUE(power_ppo(t, 0, 1));
+  EXPECT_TRUE(axiomatic_ppo(t, 0, 1, Arch::POWER7));
 
   // Data dependency read -> write.
   LitmusInstr data_write = LitmusInstr::write(0, 1);
   data_write.data_dep = 0;
   t.instrs = {LitmusInstr::read(0, 1), data_write};
-  EXPECT_TRUE(power_ppo(t, 0, 1));
+  EXPECT_TRUE(axiomatic_ppo(t, 0, 1, Arch::POWER7));
 
   // A bare control dependency orders read -> write but NOT read -> read
   // (reads may still be satisfied speculatively past a branch).
   LitmusInstr ctrl_write = LitmusInstr::write(0, 1);
   ctrl_write.ctrl_dep = 0;
   t.instrs = {LitmusInstr::read(0, 1), ctrl_write};
-  EXPECT_TRUE(power_ppo(t, 0, 1));
+  EXPECT_TRUE(axiomatic_ppo(t, 0, 1, Arch::POWER7));
   LitmusInstr ctrl_read = LitmusInstr::read(1, 0);
   ctrl_read.ctrl_dep = 0;
   t.instrs = {LitmusInstr::read(0, 1), ctrl_read};
-  EXPECT_FALSE(power_ppo(t, 0, 1));
+  EXPECT_FALSE(axiomatic_ppo(t, 0, 1, Arch::POWER7));
 }
 
 TEST(PowerPpo, AcquireRelease) {
@@ -54,45 +55,46 @@ TEST(PowerPpo, AcquireRelease) {
   acq.acquire = true;
   LitmusThread t;
   t.instrs = {acq, LitmusInstr::read(1, 1)};
-  EXPECT_TRUE(power_ppo(t, 0, 1));
+  EXPECT_TRUE(axiomatic_ppo(t, 0, 1, Arch::POWER7));
 
   LitmusInstr rel = LitmusInstr::write(1, 1);
   rel.release = true;
   t.instrs = {LitmusInstr::write(0, 1), rel};
-  EXPECT_TRUE(power_ppo(t, 0, 1));
+  EXPECT_TRUE(axiomatic_ppo(t, 0, 1, Arch::POWER7));
   // A release orders only its program-order *predecessors*.
   t.instrs = {rel, LitmusInstr::write(0, 1)};
-  EXPECT_FALSE(power_ppo(t, 0, 1));
+  EXPECT_FALSE(axiomatic_ppo(t, 0, 1, Arch::POWER7));
 }
 
 TEST(PowerFences, OrderingClasses) {
-  auto pair_with = [](FenceKind kind, LitmusInstr a, LitmusInstr b) {
+  // Each pair spans two locations with no dependency, so only the fence
+  // between them can order it.
+  auto ordered = [](FenceKind kind, LitmusInstr a, LitmusInstr b,
+                    const AxiomaticOptions& options = {}) {
     LitmusThread t;
     t.instrs = {a, LitmusInstr::barrier(kind), b};
-    return t;
+    return axiomatic_ppo(t, 0, 2, Arch::POWER7, options);
   };
-  const LitmusInstr w0 = LitmusInstr::write(0, 1);
-  const LitmusInstr r1 = LitmusInstr::read(0, 1);
-  const LitmusInstr w1 = LitmusInstr::write(1, 1);
+  const LitmusInstr w0 = LitmusInstr::write(0, 1);  // W x
+  const LitmusInstr r0 = LitmusInstr::read(0, 0);   // R x
+  const LitmusInstr r1 = LitmusInstr::read(0, 1);   // R y
+  const LitmusInstr w1 = LitmusInstr::write(1, 1);  // W y
 
   // lwsync covers everything except store->load.
-  EXPECT_TRUE(power_fence_ordered(pair_with(FenceKind::LwSync, w0, w1), 0, 2));
-  EXPECT_FALSE(power_fence_ordered(pair_with(FenceKind::LwSync, w0, r1), 0, 2));
+  EXPECT_TRUE(ordered(FenceKind::LwSync, w0, w1));
+  EXPECT_FALSE(ordered(FenceKind::LwSync, w0, r1));
   // sync is a full barrier.
-  EXPECT_TRUE(power_fence_ordered(pair_with(FenceKind::HwSync, w0, r1), 0, 2));
+  EXPECT_TRUE(ordered(FenceKind::HwSync, w0, r1));
   // isync alone orders only read -> {read,write}.
-  EXPECT_TRUE(power_fence_ordered(
-      pair_with(FenceKind::ISync, LitmusInstr::read(0, 1), w1), 0, 2));
-  EXPECT_FALSE(power_fence_ordered(pair_with(FenceKind::ISync, w0, w1), 0, 2));
+  EXPECT_TRUE(ordered(FenceKind::ISync, r0, w1));
+  EXPECT_FALSE(ordered(FenceKind::ISync, w0, w1));
   // ctrl+isb (the ctrl+isync idiom) likewise upgrades read -> read.
-  EXPECT_TRUE(power_fence_ordered(
-      pair_with(FenceKind::CtrlIsb, LitmusInstr::read(0, 1), r1), 0, 2));
+  EXPECT_TRUE(ordered(FenceKind::CtrlIsb, r0, r1));
 
   // The lwsync-as-sync weakening closes the store->load hole.
-  PowerAxiomaticOptions weak;
-  weak.lwsync_is_sync = true;
-  EXPECT_TRUE(
-      power_fence_ordered(pair_with(FenceKind::LwSync, w0, r1), 0, 2, weak));
+  AxiomaticOptions weak;
+  weak.power.lwsync_is_sync = true;
+  EXPECT_TRUE(ordered(FenceKind::LwSync, w0, r1, weak));
 }
 
 // --- Per-axiom verdicts on the classic shapes -------------------------------
@@ -117,8 +119,8 @@ TEST(PowerAxioms, PropagationForbids2p2wLwsyncs) {
     t.instrs.insert(t.instrs.begin() + 1,
                     LitmusInstr::barrier(FenceKind::LwSync));
   }
-  EXPECT_TRUE(power_axiomatic_allowed(make_2p2w().test,
-                                      make_2p2w().relaxed_outcome));
+  EXPECT_TRUE(axiomatic_allowed(make_2p2w().test, make_2p2w().relaxed_outcome,
+                                Arch::POWER7));
   EXPECT_EQ(power_forbidding_axiom(c.test, c.relaxed_outcome),
             PowerAxiom::Propagation);
 }
@@ -152,7 +154,8 @@ TEST(PowerOracle, MatchesCuratedLitmusMatrix) {
   for (const LitmusCase& c : litmus_suite()) {
     const std::optional<bool> expected = expected_allowed(c, Arch::POWER7);
     if (!expected.has_value()) continue;
-    EXPECT_EQ(power_axiomatic_allowed(c.test, c.relaxed_outcome), *expected)
+    EXPECT_EQ(axiomatic_allowed(c.test, c.relaxed_outcome, Arch::POWER7),
+              *expected)
         << c.test.name;
   }
 }
@@ -161,7 +164,7 @@ TEST(PowerOracle, MatchesCuratedLitmusMatrix) {
 // suite case, the same check the fuzzer applies to random programs.
 TEST(PowerOracle, AgreesWithOperationalExecutorOnSuite) {
   for (const LitmusCase& c : litmus_suite()) {
-    EXPECT_EQ(power_axiomatic_outcomes(c.test),
+    EXPECT_EQ(axiomatic_outcomes(c.test, Arch::POWER7),
               enumerate_outcomes(c.test, Arch::POWER7))
         << c.test.name;
   }
@@ -171,7 +174,7 @@ TEST(PowerOracle, AgreesWithOperationalExecutorOnSuite) {
 // operational machine with all visibility delays off is the ARM machine.
 TEST(PowerOracle, AdmitsArmAxiomaticSet) {
   for (const LitmusCase& c : litmus_suite()) {
-    const auto power = power_axiomatic_outcomes(c.test);
+    const auto power = axiomatic_outcomes(c.test, Arch::POWER7);
     for (const Outcome& o : axiomatic_outcomes(c.test, Arch::ARMV8)) {
       EXPECT_TRUE(power.count(o)) << c.test.name;
     }
@@ -186,7 +189,7 @@ TEST(PowerOracle, RejectsOversizedTests) {
   LitmusThread t;
   for (int i = 0; i < 40; ++i) t.instrs.push_back(LitmusInstr::write(0, i + 1));
   big.threads = {t};
-  EXPECT_THROW(power_axiomatic_outcomes(big), std::invalid_argument);
+  EXPECT_THROW(axiomatic_outcomes(big, Arch::POWER7), std::invalid_argument);
 }
 
 // --- Weakenings (the fuzzer's teeth) ----------------------------------------
@@ -195,15 +198,15 @@ TEST(PowerOracle, RejectsOversizedTests) {
 // only ever removes them.  Monotonicity keeps the teeth divergences
 // one-sided and easy to interpret.
 TEST(PowerWeakenings, AreMonotone) {
-  PowerAxiomaticOptions drop_obs, drop_bc, lw;
-  drop_obs.drop_observation = true;
-  drop_bc.drop_b_cumulativity = true;
-  lw.lwsync_is_sync = true;
+  AxiomaticOptions drop_obs, drop_bc, lw;
+  drop_obs.power.drop_observation = true;
+  drop_bc.power.drop_b_cumulativity = true;
+  lw.power.lwsync_is_sync = true;
   for (const LitmusCase& c : litmus_suite()) {
-    const auto base = power_axiomatic_outcomes(c.test);
-    const auto obs = power_axiomatic_outcomes(c.test, drop_obs);
-    const auto bc = power_axiomatic_outcomes(c.test, drop_bc);
-    const auto strong = power_axiomatic_outcomes(c.test, lw);
+    const auto base = axiomatic_outcomes(c.test, Arch::POWER7);
+    const auto obs = axiomatic_outcomes(c.test, Arch::POWER7, drop_obs);
+    const auto bc = axiomatic_outcomes(c.test, Arch::POWER7, drop_bc);
+    const auto strong = axiomatic_outcomes(c.test, Arch::POWER7, lw);
     for (const Outcome& o : base) {
       EXPECT_TRUE(obs.count(o)) << c.test.name;
       EXPECT_TRUE(bc.count(o)) << c.test.name;
@@ -214,22 +217,25 @@ TEST(PowerWeakenings, AreMonotone) {
 
 // Each weakening changes the verdict of the shape that pins it.
 TEST(PowerWeakenings, FlipKnownVerdicts) {
-  PowerAxiomaticOptions drop_obs, drop_bc, lw;
-  drop_obs.drop_observation = true;
-  drop_bc.drop_b_cumulativity = true;
-  lw.lwsync_is_sync = true;
+  AxiomaticOptions drop_obs, drop_bc, lw;
+  drop_obs.power.drop_observation = true;
+  drop_bc.power.drop_b_cumulativity = true;
+  lw.power.lwsync_is_sync = true;
 
   const LitmusCase mp = make_mp_fenced_dep(FenceKind::LwSync);
-  EXPECT_FALSE(power_axiomatic_allowed(mp.test, mp.relaxed_outcome));
-  EXPECT_TRUE(power_axiomatic_allowed(mp.test, mp.relaxed_outcome, drop_obs));
+  EXPECT_FALSE(axiomatic_allowed(mp.test, mp.relaxed_outcome, Arch::POWER7));
+  EXPECT_TRUE(axiomatic_allowed(mp.test, mp.relaxed_outcome, Arch::POWER7,
+                                drop_obs));
 
   const LitmusCase wrc = make_wrc_sync();
-  EXPECT_FALSE(power_axiomatic_allowed(wrc.test, wrc.relaxed_outcome));
-  EXPECT_TRUE(power_axiomatic_allowed(wrc.test, wrc.relaxed_outcome, drop_bc));
+  EXPECT_FALSE(axiomatic_allowed(wrc.test, wrc.relaxed_outcome, Arch::POWER7));
+  EXPECT_TRUE(axiomatic_allowed(wrc.test, wrc.relaxed_outcome, Arch::POWER7,
+                                drop_bc));
 
   const LitmusCase sb = make_sb_fenced(FenceKind::LwSync);
-  EXPECT_TRUE(power_axiomatic_allowed(sb.test, sb.relaxed_outcome));
-  EXPECT_FALSE(power_axiomatic_allowed(sb.test, sb.relaxed_outcome, lw));
+  EXPECT_TRUE(axiomatic_allowed(sb.test, sb.relaxed_outcome, Arch::POWER7));
+  EXPECT_FALSE(axiomatic_allowed(sb.test, sb.relaxed_outcome, Arch::POWER7,
+                                lw));
 }
 
 }  // namespace

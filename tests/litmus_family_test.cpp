@@ -15,7 +15,6 @@
 #include "cache/store.h"
 #include "par/deterministic_map.h"
 #include "sim/axiomatic.h"
-#include "sim/axiomatic_power.h"
 #include "sim/fuzz.h"
 #include "sim/litmus_family.h"
 #include "sim/litmus_format.h"
@@ -147,10 +146,8 @@ TEST(FamilyGenerate, OraclesAgreeAcrossTheCorpus) {
              {Arch::SC, Arch::X86_TSO, Arch::ARMV8, Arch::POWER7}) {
           const bool op =
               condition_reachable(file, enumerate_outcomes(p.test, arch));
-          const bool ax = condition_reachable(
-              file, arch == Arch::POWER7
-                        ? power_axiomatic_outcomes(p.test)
-                        : axiomatic_outcomes(p.test, arch, {}));
+          const bool ax =
+              condition_reachable(file, axiomatic_outcomes(p.test, arch));
           if (op != ax) {
             return p.name + " on " + arch_name(arch) + ": op=" +
                    (op ? "allow" : "forbid") + " ax=" +

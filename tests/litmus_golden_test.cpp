@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "sim/axiomatic.h"
-#include "sim/axiomatic_power.h"
 #include "sim/litmus_format.h"
 
 #ifndef WMM_LITMUS_DIR
@@ -72,9 +71,8 @@ TEST_P(Golden, ParsesCanonicallyAndBothOraclesMatchExpectations) {
         condition_reachable(file, enumerate_outcomes(file.test, arch));
     EXPECT_EQ(op, allowed)
         << path << ": operational verdict on " << arch_name(arch);
-    const bool ax = condition_reachable(
-        file, arch == Arch::POWER7 ? power_axiomatic_outcomes(file.test)
-                                   : axiomatic_outcomes(file.test, arch));
+    const bool ax =
+        condition_reachable(file, axiomatic_outcomes(file.test, arch));
     EXPECT_EQ(ax, allowed)
         << path << ": axiomatic verdict on " << arch_name(arch);
   }

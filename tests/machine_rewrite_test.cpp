@@ -18,7 +18,6 @@
 
 #include "obs/counters.h"
 #include "sim/axiomatic.h"
-#include "sim/axiomatic_power.h"
 #include "sim/fuzz.h"
 #include "sim/litmus_family.h"
 #include "sim/litmus_format.h"
@@ -35,8 +34,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::set<Outcome> oracle_outcomes(const LitmusTest& test, Arch arch) {
-  return arch == Arch::POWER7 ? power_axiomatic_outcomes(test)
-                              : axiomatic_outcomes(test, arch);
+  return axiomatic_outcomes(test, arch);
 }
 
 // --- Outcome-set equality vs. the oracles ---------------------------------

@@ -3,15 +3,15 @@
 //
 // The brute-force oracle is deliberately independent of the engine: it
 // *materializes* each candidate assignment into a plain litmus test and asks
-// the batch axiomatic entry points (power_axiomatic_outcomes on POWER7,
-// axiomatic_outcomes elsewhere) — no incremental evaluator, no pruning, no
-// memo.  Exact mode must return a correct assignment of exactly the
+// the batch axiomatic entry point (axiomatic_outcomes) — no incremental
+// evaluator, no pruning, no memo.  Exact mode must return a correct assignment of exactly the
 // brute-force minimum cost; greedy mode must return a correct, per-slot
 // minimal fix.  The cache round-trip tests pin the cold/warm byte-identity
 // the CI fence-synth job asserts end to end.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -19,8 +19,8 @@
 
 #include "cache/store.h"
 #include "sim/axiomatic.h"
-#include "sim/axiomatic_power.h"
 #include "sim/litmus.h"
+#include "sim/rng.h"
 #include "synth/search.h"
 
 namespace {
@@ -62,16 +62,11 @@ sim::LitmusTest materialize(const synth::SynthProblem& problem,
   return test;
 }
 
-std::set<sim::Outcome> batch_outcomes(const sim::LitmusTest& test, Arch arch) {
-  return arch == Arch::POWER7 ? sim::power_axiomatic_outcomes(test)
-                              : sim::axiomatic_outcomes(test, arch);
-}
-
 // Brute-force correctness: no forbidden outcome is admitted.
 bool brute_correct(const synth::SynthProblem& problem,
                    const synth::Assignment& a) {
   const std::set<sim::Outcome> outcomes =
-      batch_outcomes(materialize(problem, a), problem.arch);
+      sim::axiomatic_outcomes(materialize(problem, a), problem.arch);
   for (const sim::Outcome& o : problem.forbidden) {
     if (outcomes.count(o)) return false;
   }
@@ -190,7 +185,7 @@ TEST(SynthSearch, CorrectnessIsMonotoneOnTheLattice) {
       std::vector<std::set<sim::Outcome>> outcomes;
       outcomes.reserve(all.size());
       for (const synth::Assignment& a : all) {
-        outcomes.push_back(batch_outcomes(materialize(problem, a), arch));
+        outcomes.push_back(sim::axiomatic_outcomes(materialize(problem, a), arch));
       }
       for (std::size_t i = 0; i < all.size(); ++i) {
         for (std::size_t j = 0; j < all.size(); ++j) {
@@ -206,6 +201,64 @@ TEST(SynthSearch, CorrectnessIsMonotoneOnTheLattice) {
       }
     }
   }
+}
+
+// The incremental evaluator's set_assignment path against the batch entry
+// point.  One evaluator per (suite case, architecture) walks the case's
+// slot-assignment lattice in a seeded order, so threads turn dirty and clean
+// again and POWER barrier nodes appear and vanish; after every step its
+// verdicts must equal those of the program with the fences written in.
+// Lattices of at most kSteps assignments are walked whole, larger ones by a
+// seeded sample of kSteps.
+TEST(SynthSearch, IncrementalEvaluatorMatchesBatchOnSuiteLattices) {
+  constexpr std::size_t kSteps = 200;
+  std::size_t steps = 0;
+  for (const sim::LitmusCase& c : sim::litmus_suite()) {
+    for (Arch arch : {Arch::SC, Arch::X86_TSO, Arch::ARMV8, Arch::POWER7}) {
+      const synth::SynthProblem problem = synth::make_problem(c.test, arch, {});
+      std::vector<sim::FenceSlotRef> refs;
+      std::size_t size = 1;  // lattice size, saturating above kSteps
+      for (const synth::Slot& s : problem.slots) {
+        refs.push_back(s.ref);
+        size = std::min(size * s.menu.size(), kSteps + 1);
+      }
+      sim::Rng rng(sim::hash_combine(0x1a771ceULL, steps));
+      std::vector<synth::Assignment> walk;
+      if (size <= kSteps) {
+        walk = all_assignments(problem);
+        for (std::size_t i = walk.size(); i > 1; --i) {
+          std::swap(walk[i - 1], walk[rng.next_below(i)]);
+        }
+      } else {
+        for (std::size_t k = 0; k < kSteps; ++k) {
+          synth::Assignment a;
+          for (const synth::Slot& s : problem.slots) {
+            a.kinds.push_back(s.menu[rng.next_below(s.menu.size())]);
+          }
+          walk.push_back(std::move(a));
+        }
+      }
+
+      sim::AxiomaticEvaluator evaluator(problem.skeleton, arch, refs);
+      for (const synth::Assignment& a : walk) {
+        evaluator.set_assignment(a.kinds);
+        const std::set<sim::Outcome> batch =
+            sim::axiomatic_outcomes(materialize(problem, a), arch);
+        ASSERT_EQ(evaluator.outcomes(), batch)
+            << c.test.name << " on " << sim::arch_name(arch) << " at "
+            << a.name();
+        for (const sim::Outcome& o : batch) {
+          ASSERT_TRUE(evaluator.allowed(o)) << c.test.name << " at " << a.name();
+        }
+        EXPECT_EQ(evaluator.allowed(c.relaxed_outcome),
+                  batch.count(c.relaxed_outcome) == 1)
+            << c.test.name << " on " << sim::arch_name(arch) << " at "
+            << a.name();
+        ++steps;
+      }
+    }
+  }
+  EXPECT_GT(steps, 1000u);
 }
 
 TEST(SynthSearch, SerializeParseRoundTripsExactly) {
