@@ -1,6 +1,8 @@
 #include "flags.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 
@@ -25,6 +27,18 @@ namespace {
 }
 
 }  // namespace
+
+bool parse_u64(const std::string& text, std::uint64_t& value) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long n = std::strtoull(text.c_str(), &end, 0);
+  if (errno == ERANGE || *end != '\0') return false;
+  value = n;
+  return true;
+}
 
 namespace {
 

@@ -7,6 +7,7 @@
 // collected as a positional argument.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -39,6 +40,12 @@ struct CommonFlags {
                            //               eviction kicks in
   std::vector<std::string> positional;
 };
+
+// Strict parse of an unsigned numeric flag value: decimal, 0x-hex or
+// 0-octal, with no sign, whitespace or trailing characters and no overflow.
+// Returns false (leaving `value` untouched) for anything else, so a FlagSpec
+// can return the result and let parse_flags print its diagnostic.
+bool parse_u64(const std::string& text, std::uint64_t& value);
 
 // Prints the --help text for `title` with the common and extra flags.
 void print_usage(std::ostream& os, const std::string& program,

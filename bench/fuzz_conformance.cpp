@@ -27,6 +27,7 @@
 //                  an exported corpus (the CI round-trip gate), and the
 //                  files cross-validate divergences against external herd7.
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -94,17 +95,21 @@ bool parse_weaken(const std::string& s, sim::AxiomaticOptions& o) {
   return true;
 }
 
-std::uint64_t parse_u64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 0);
+// A strictly parsed flag value in [1, INT_MAX].
+bool parse_positive(const std::string& s, int& out) {
+  std::uint64_t n = 0;
+  if (!bench::parse_u64(s, n) || n == 0 || n > INT_MAX) return false;
+  out = static_cast<int>(n);
+  return true;
 }
 
 // Whether the four-architecture verdict set of `test` is cheap enough to
-// compute eagerly.  The operational POWER executor enumerates
-// 2^(writes * other-threads) visibility-delay masks per interleaving (see
-// FuzzConfig::for_arch), so an exported corpus — which litmus_run re-checks
-// on every architecture, POWER included — sticks to shapes inside that
-// budget.  The bound mirrors POWER's own generator limits (3 writes visible
-// to 2 other threads).
+// compute eagerly.  litmus_run re-checks an exported corpus on every
+// architecture with both oracles, and the axiomatic rf × co candidate count
+// grows with the writes each read may observe (see FuzzConfig::for_arch).
+// The bound mirrors POWER's own generator limits (3 writes visible to 2
+// other threads); it also decides which seeds an exported corpus keeps, so
+// changing it changes every exported fixed-seed corpus.
 bool cheap_to_cross_check(const sim::LitmusTest& test) {
   int writes = 0;
   for (const sim::LitmusThread& t : test.threads) {
@@ -239,30 +244,22 @@ int main(int argc, char** argv) {
        }},
       {"--count", "N", "programs per architecture (default 1000)",
        [&](const std::string& v) {
-         count = static_cast<int>(parse_u64(v));
          count_set = true;
-         return count > 0;
+         return parse_positive(v, count);
        }},
       {"--seed", "S", "base seed for program generation",
-       [&](const std::string& v) {
-         base_seed = parse_u64(v);
-         return true;
-       }},
+       [&](const std::string& v) { return bench::parse_u64(v, base_seed); }},
       {"--replay", "SEED", "replay one seed's program and exit",
        [&](const std::string& v) {
-         replay_seed = parse_u64(v);
          do_replay = true;
-         return true;
+         return bench::parse_u64(v, replay_seed);
        }},
       {"--weaken", "W",
        "plant a bug: tso-wr|deps|poloc|acqrel|power-lwsync-sync|"
        "power-bcumul|power-obs",
        [&](const std::string& v) { return parse_weaken(v, options); }},
       {"--max-divergences", "N", "stop an arch after N divergences (default 1)",
-       [&](const std::string& v) {
-         max_divergences = static_cast<int>(parse_u64(v));
-         return max_divergences > 0;
-       }},
+       [&](const std::string& v) { return parse_positive(v, max_divergences); }},
       {"--export-litmus", "DIR",
        "write the corpus to DIR/<arch>/*.litmus in herd7 syntax",
        [&](const std::string& v) {

@@ -25,6 +25,8 @@
 //
 // Exits non-zero on any operational/axiomatic disagreement, wmm-expect
 // mismatch, or unparsable input file.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -126,12 +128,16 @@ int main(int argc, char** argv) {
        }},
       {"--max-comm-edges", "K", "family cycle-size bound (default 4)",
        [&](const std::string& v) {
-         family_options.max_comm_edges = std::atoi(v.c_str());
-         return family_options.max_comm_edges >= 2;
+         std::uint64_t k = 0;
+         if (!bench::parse_u64(v, k) || k < 2 || k > INT_MAX) return false;
+         family_options.max_comm_edges = static_cast<int>(k);
+         return true;
        }},
       {"--limit", "N", "stop after N programs (0 = all)",
        [&](const std::string& v) {
-         limit = static_cast<std::size_t>(std::strtoull(v.c_str(), nullptr, 0));
+         std::uint64_t n = 0;
+         if (!bench::parse_u64(v, n)) return false;
+         limit = static_cast<std::size_t>(n);
          return true;
        }},
       {"--export", "DIR", "write each checked program to DIR as .litmus",

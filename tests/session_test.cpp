@@ -5,7 +5,9 @@
 // the chained handler must still flush the JSONL report — manifest marked
 // "aborted", counters record present — before the process dies.  The normal
 // path tests pin that --histograms/--profile append schema-valid records.
+// BadFlagValue runs two built binaries over malformed numeric flag values.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -132,6 +134,36 @@ TEST(Session, FinalizeIsIdempotent) {
   session.finalize();  // second call must not rewrite or duplicate
   EXPECT_EQ(read_lines(path), first);
   std::remove(path.c_str());
+}
+
+// Numeric flags parse strictly: an empty value, a sign, trailing garbage or
+// an overflow exits 2 with parse_flags' diagnostic naming the flag, instead
+// of running on whatever prefix strtoull managed to read.
+TEST(BadFlagValue, NumericFlagsExitTwoWithDiagnostic) {
+  struct Case {
+    const char* binary;
+    const char* arg;
+    const char* flag;
+  };
+  const Case cases[] = {
+      {WMM_FUZZ_CONFORMANCE, "--replay=zz", "--replay"},
+      {WMM_FUZZ_CONFORMANCE, "--seed=1x", "--seed"},
+      {WMM_FUZZ_CONFORMANCE, "--seed=18446744073709551616", "--seed"},
+      {WMM_FUZZ_CONFORMANCE, "--count=", "--count"},
+      {WMM_FUZZ_CONFORMANCE, "--count=-3", "--count"},
+      {WMM_FUZZ_CONFORMANCE, "--count=4294967296", "--count"},
+      {WMM_FUZZ_CONFORMANCE, "--max-divergences=0x", "--max-divergences"},
+      {WMM_LITMUS_RUN, "--limit=-", "--limit"},
+      {WMM_LITMUS_RUN, "--limit=10k", "--limit"},
+      {WMM_LITMUS_RUN, "--max-comm-edges=", "--max-comm-edges"},
+      {WMM_LITMUS_RUN, "--max-comm-edges=3.5", "--max-comm-edges"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EXIT(::execl(c.binary, c.binary, c.arg, static_cast<char*>(nullptr)),
+                ::testing::ExitedWithCode(2),
+                std::string("bad value for ") + c.flag + ": '")
+        << c.arg;
+  }
 }
 
 }  // namespace
