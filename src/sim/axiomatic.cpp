@@ -175,10 +175,11 @@ struct CandidateSpace {
 };
 
 // Fixed-capacity directed graph over candidate nodes, seeded by a row copy,
-// with an O(n^2) Kahn acyclicity check.  It lives on the stack, so checking
-// a candidate allocates nothing.
+// with an O(n^2) Kahn acyclicity check.  It lives on the stack: building a
+// check's graph allocates nothing.
 class RowGraph {
  public:
+  // Only the first n_ rows are ever read, so the rest stay uninitialised.
   explicit RowGraph(const std::vector<std::uint32_t>& rows) : n_(rows.size()) {
     std::copy(rows.begin(), rows.end(), succ_.begin());
   }
@@ -227,7 +228,7 @@ class RowGraph {
   }
 
  private:
-  std::array<std::uint32_t, kMaxNodes> succ_{};
+  std::array<std::uint32_t, kMaxNodes> succ_;
   std::size_t n_;
   bool self_loop_ = false;
 };
@@ -399,40 +400,34 @@ int co_position(const CandidateSpace& s, const Candidate& c, int w) {
   return static_cast<int>(it - chain.begin());
 }
 
-// Communication edges.  co and fr use immediate co successors only, which is
-// equivalent for acyclicity since full co/fr are contained in the transitive
-// closure of the chain form.
-void add_co_edges(RowGraph& g, const Candidate& c) {
-  for (const std::vector<int>& chain : c.co) {
-    for (std::size_t k = 0; k + 1 < chain.size(); ++k) {
-      g.add(chain[k], chain[k + 1]);
+// The communication edges a check adds: rf-external only (hb's part), rf
+// and the co chains, or rf, co and fr.
+enum class Com { Rfe, RfCo, RfCoFr };
+
+// co and fr use immediate co successors only, which is equivalent for
+// acyclicity since full co/fr are contained in the transitive closure of the
+// chain form.
+void add_com_edges(RowGraph& g, const CandidateSpace& s, const Candidate& c,
+                   Com com) {
+  if (com != Com::Rfe) {
+    for (const std::vector<int>& chain : c.co) {
+      for (std::size_t k = 0; k + 1 < chain.size(); ++k) {
+        g.add(chain[k], chain[k + 1]);
+      }
     }
   }
-}
-
-void add_rf_edges(RowGraph& g, const CandidateSpace& s, const Candidate& c,
-                  bool external_only) {
-  for (std::size_t k = 0; k < s.reads.size(); ++k) {
-    const int w = c.rf[k];
-    if (w < 0) continue;
-    if (external_only &&
-        s.events[static_cast<std::size_t>(w)].tid ==
-            s.events[static_cast<std::size_t>(s.reads[k])].tid) {
-      continue;
-    }
-    g.add(w, s.reads[k]);
-  }
-}
-
-void add_fr_edges(RowGraph& g, const CandidateSpace& s, const Candidate& c) {
   for (std::size_t k = 0; k < s.reads.size(); ++k) {
     const int r = s.reads[k];
-    const std::vector<int>& chain =
-        c.co[static_cast<std::size_t>(s.events[static_cast<std::size_t>(r)].var)];
-    const int pos = co_position(s, c, c.rf[k]);
-    if (pos + 1 < static_cast<int>(chain.size())) {
-      g.add(r, chain[static_cast<std::size_t>(pos) + 1]);
+    const AxEvent& re = s.events[static_cast<std::size_t>(r)];
+    const int w = c.rf[k];
+    if (w >= 0 && (com != Com::Rfe ||
+                   s.events[static_cast<std::size_t>(w)].tid != re.tid)) {
+      g.add(w, r);
     }
+    if (com != Com::RfCoFr) continue;
+    const std::vector<int>& chain = c.co[static_cast<std::size_t>(re.var)];
+    const auto next = static_cast<std::size_t>(co_position(s, c, w) + 1);
+    if (next < chain.size()) g.add(r, chain[next]);
   }
 }
 
@@ -615,6 +610,28 @@ bool observation_holds(const CandidateSpace& s, const Candidate& c,
 
 // --- The axioms --------------------------------------------------------------
 
+// POWER7's remaining axioms, for a candidate that passed SC-PER-LOCATION.
+// Kept out of line so the single-axiom check below stays small.
+[[gnu::noinline]] PowerAxiom check_power_axioms(const CandidateSpace& s,
+                                                const Candidate& c) {
+  {
+    // NO-THIN-AIR: acyclic(hb), hb = ppo ∪ rfe.
+    RowGraph g(s.ppo);
+    add_com_edges(g, s, c, Com::Rfe);
+    if (!g.acyclic()) return PowerAxiom::NoThinAir;
+  }
+  // PROPAGATION: coherence embeds into the single commit interleaving that
+  // also linearises hb and the sync nodes.
+  RowGraph g(s.prop);
+  add_com_edges(g, s, c, Com::RfCo);
+  if (!g.acyclic()) return PowerAxiom::Propagation;
+  // OBSERVATION: forced visibility from cumulativity pushes and catch-up.
+  if (!s.opt.power.drop_observation && !observation_holds(s, c, g)) {
+    return PowerAxiom::Observation;
+  }
+  return PowerAxiom::None;
+}
+
 // The first axiom the candidate violates; PowerAxiom::None when it is
 // allowed.  SC, TSO and ARMv8 stop after the first check, which they run
 // with the ppo rows in place of po-loc: acyclic(ppo ∪ rf ∪ co ∪ fr).
@@ -623,29 +640,10 @@ PowerAxiom check_candidate(const CandidateSpace& s, const Candidate& c) {
   {
     // SC-PER-LOCATION: acyclic(poloc ∪ rf ∪ co ∪ fr).
     RowGraph g(power ? s.poloc : s.ppo);
-    add_rf_edges(g, s, c, /*external_only=*/false);
-    add_co_edges(g, c);
-    add_fr_edges(g, s, c);
+    add_com_edges(g, s, c, Com::RfCoFr);
     if (!g.acyclic()) return PowerAxiom::ScPerLocation;
   }
-  if (!power) return PowerAxiom::None;
-  {
-    // NO-THIN-AIR: acyclic(hb), hb = ppo ∪ rfe.
-    RowGraph g(s.ppo);
-    add_rf_edges(g, s, c, /*external_only=*/true);
-    if (!g.acyclic()) return PowerAxiom::NoThinAir;
-  }
-  // PROPAGATION: coherence embeds into the single commit interleaving that
-  // also linearises hb and the sync nodes.
-  RowGraph g(s.prop);
-  add_rf_edges(g, s, c, /*external_only=*/false);
-  add_co_edges(g, c);
-  if (!g.acyclic()) return PowerAxiom::Propagation;
-  // OBSERVATION: forced visibility from cumulativity pushes and catch-up.
-  if (!s.opt.power.drop_observation && !observation_holds(s, c, g)) {
-    return PowerAxiom::Observation;
-  }
-  return PowerAxiom::None;
+  return power ? check_power_axioms(s, c) : PowerAxiom::None;
 }
 
 }  // namespace

@@ -51,17 +51,6 @@ std::vector<sim::Outcome> sc_forbidden_outcomes(const sim::LitmusTest& test,
   return forbidden;
 }
 
-namespace {
-
-std::vector<sim::FenceSlotRef> slot_refs(const SynthProblem& problem) {
-  std::vector<sim::FenceSlotRef> refs;
-  refs.reserve(problem.slots.size());
-  for (const Slot& s : problem.slots) refs.push_back(s.ref);
-  return refs;
-}
-
-}  // namespace
-
 struct SynthOracle::Impl {
   std::vector<sim::Outcome> forbidden;
   sim::AxiomaticEvaluator evaluator;
@@ -69,13 +58,16 @@ struct SynthOracle::Impl {
   std::uint64_t queries = 0;
 };
 
-SynthOracle::SynthOracle(const SynthProblem& problem)
-    : impl_(std::make_unique<Impl>(Impl{
-          problem.forbidden,
-          sim::AxiomaticEvaluator(problem.skeleton, problem.arch,
-                                  slot_refs(problem)),
-          {},
-          0})) {}
+SynthOracle::SynthOracle(const SynthProblem& problem) {
+  std::vector<sim::FenceSlotRef> refs;
+  refs.reserve(problem.slots.size());
+  for (const Slot& s : problem.slots) refs.push_back(s.ref);
+  impl_ = std::make_unique<Impl>(Impl{
+      problem.forbidden,
+      sim::AxiomaticEvaluator(problem.skeleton, problem.arch, std::move(refs)),
+      {},
+      0});
+}
 
 SynthOracle::~SynthOracle() = default;
 SynthOracle::SynthOracle(SynthOracle&&) noexcept = default;

@@ -4,9 +4,9 @@
 // The brute-force oracle is deliberately independent of the engine: it
 // *materializes* each candidate assignment into a plain litmus test and asks
 // the batch axiomatic entry point (axiomatic_outcomes) — no incremental
-// evaluator, no pruning, no memo.  Exact mode must return a correct assignment of exactly the
-// brute-force minimum cost; greedy mode must return a correct, per-slot
-// minimal fix.  The cache round-trip tests pin the cold/warm byte-identity
+// evaluator, no pruning, no memo.  Exact mode must return a correct
+// assignment of exactly the brute-force minimum cost; greedy mode must return
+// a correct, per-slot minimal fix.  The cache round-trip tests pin the cold/warm byte-identity
 // the CI fence-synth job asserts end to end.
 #include <gtest/gtest.h>
 #include <unistd.h>
