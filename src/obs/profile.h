@@ -44,8 +44,8 @@ enum class Phase : std::uint8_t {
   SbDrain,      // sim.sb-drain   store-buffer push/drain + invq bookkeeping
   Coherence,    // sim.coherence  directory/bus traffic for a shared access
   OpEnumerate,  // op.enumerate   operational outcome-set enumeration
-  AxCheck,      // ax.check       single-axiom axiomatic_outcomes
-  AxPowerCheck, // ax.power       Herding-Cats power_axiomatic_outcomes
+  AxCheck,      // ax.check       axiomatic_outcomes on SC, TSO, ARMv8
+  AxPowerCheck, // ax.power       axiomatic_outcomes on POWER7
   PoolTask,     // pool.task      one pool task body (workers and helpers)
   PoolWave,     // pool.wave      one par_map fan-out, submit to last merge
 };
