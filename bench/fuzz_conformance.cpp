@@ -105,8 +105,9 @@ bool parse_positive(const std::string& s, int& out) {
 
 // Whether the four-architecture verdict set of `test` is cheap enough to
 // compute eagerly.  litmus_run re-checks an exported corpus on every
-// architecture with both oracles, and the axiomatic rf × co candidate count
-// grows with the writes each read may observe (see FuzzConfig::for_arch).
+// architecture with both oracles, and the axiomatic search, which prunes
+// only the rf × co choices that close a cycle, still grows in the worst
+// case with the writes each read may observe (see FuzzConfig::for_arch).
 // The bound mirrors POWER's own generator limits (3 writes visible to 2
 // other threads); it also decides which seeds an exported corpus keeps, so
 // changing it changes every exported fixed-seed corpus.

@@ -162,6 +162,9 @@ struct CandidateSpace {
   std::vector<std::vector<int>> writes_by_var;
   // rf candidates per read (position in `reads`): write event ids, -1 = init.
   std::vector<std::vector<int>> rf_candidates;
+  // Per read (position in `reads`): the outcome register it sets, or -1
+  // when it has none or a later read overwrites it.
+  std::vector<int> outcome_reg;
   // Same-location program order as adjacency-row bitsets (bit j of row i set
   // <=> edge i -> j), so a candidate check starts from a row copy.
   std::vector<std::uint32_t> poloc;
@@ -175,13 +178,15 @@ struct CandidateSpace {
 };
 
 // Fixed-capacity directed graph over candidate nodes, seeded by a row copy,
-// with an O(n^2) Kahn acyclicity check.  It lives on the stack: building a
-// check's graph allocates nothing.
+// with an O(n^2) Kahn acyclicity check: POWER7's OBSERVATION graph at a
+// leaf of the search.  It lives on the stack, so building it allocates
+// nothing.
 class RowGraph {
  public:
   // Only the first n_ rows are ever read, so the rest stay uninitialised.
-  explicit RowGraph(const std::vector<std::uint32_t>& rows) : n_(rows.size()) {
-    std::copy(rows.begin(), rows.end(), succ_.begin());
+  RowGraph(const std::array<std::uint32_t, kMaxNodes>& rows, std::size_t n)
+      : n_(n) {
+    std::copy_n(rows.begin(), n, succ_.begin());
   }
 
   // Returns true when the edge was newly inserted (callers undo with
@@ -274,6 +279,15 @@ void build_access_space(CandidateSpace& s) {
       cand.push_back(w);
     }
     s.rf_candidates.push_back(std::move(cand));
+  }
+  s.outcome_reg.assign(s.reads.size(), -1);
+  for (std::size_t k = 0; k < s.reads.size(); ++k) {
+    const int reg = s.events[static_cast<std::size_t>(s.reads[k])].reg;
+    bool last = reg >= 0;
+    for (std::size_t k2 = k + 1; k2 < s.reads.size() && last; ++k2) {
+      last = s.events[static_cast<std::size_t>(s.reads[k2])].reg != reg;
+    }
+    if (last) s.outcome_reg[k] = reg;
   }
 
   s.poloc.assign(s.events.size(), 0u);
@@ -382,53 +396,21 @@ CandidateSpace make_space(const LitmusTest& test, Arch arch,
 
 // --- Candidates --------------------------------------------------------------
 
-// One fully chosen candidate execution.
+// A candidate execution, whole at a leaf of the search and partial inside it.
 struct Candidate {
   // rf[k]: source write event of read s.reads[k], -1 = initial value.
   std::vector<int> rf;
   // co[v]: the coherence order of var v's writes (event ids, first = oldest).
   std::vector<std::vector<int>> co;
+  // co_pos[w]: position of write event w in its variable's chain, -1 while
+  // the search has not placed it.
+  std::vector<int> co_pos;
 };
 
 // Position of write `w` in its variable's coherence chain; -1 for the
 // initial value (w < 0).
-int co_position(const CandidateSpace& s, const Candidate& c, int w) {
-  if (w < 0) return -1;
-  const std::vector<int>& chain =
-      c.co[static_cast<std::size_t>(s.events[static_cast<std::size_t>(w)].var)];
-  const auto it = std::find(chain.begin(), chain.end(), w);
-  return static_cast<int>(it - chain.begin());
-}
-
-// The communication edges a check adds: rf-external only (hb's part), rf
-// and the co chains, or rf, co and fr.
-enum class Com { Rfe, RfCo, RfCoFr };
-
-// co and fr use immediate co successors only, which is equivalent for
-// acyclicity since full co/fr are contained in the transitive closure of the
-// chain form.
-void add_com_edges(RowGraph& g, const CandidateSpace& s, const Candidate& c,
-                   Com com) {
-  if (com != Com::Rfe) {
-    for (const std::vector<int>& chain : c.co) {
-      for (std::size_t k = 0; k + 1 < chain.size(); ++k) {
-        g.add(chain[k], chain[k + 1]);
-      }
-    }
-  }
-  for (std::size_t k = 0; k < s.reads.size(); ++k) {
-    const int r = s.reads[k];
-    const AxEvent& re = s.events[static_cast<std::size_t>(r)];
-    const int w = c.rf[k];
-    if (w >= 0 && (com != Com::Rfe ||
-                   s.events[static_cast<std::size_t>(w)].tid != re.tid)) {
-      g.add(w, r);
-    }
-    if (com != Com::RfCoFr) continue;
-    const std::vector<int>& chain = c.co[static_cast<std::size_t>(re.var)];
-    const auto next = static_cast<std::size_t>(co_position(s, c, w) + 1);
-    if (next < chain.size()) g.add(r, chain[next]);
-  }
+int co_position(const Candidate& c, int w) {
+  return w < 0 ? -1 : c.co_pos[static_cast<std::size_t>(w)];
 }
 
 Outcome outcome_of(const CandidateSpace& s, const Candidate& c) {
@@ -446,51 +428,6 @@ Outcome outcome_of(const CandidateSpace& s, const Candidate& c) {
                       : s.events[static_cast<std::size_t>(chain.back())].value);
   }
   return out;
-}
-
-// Enumerate every (rf, co) candidate, calling `visit(c)`; `visit` returns
-// true to stop early.  An odometer over the per-variable coherence
-// permutations, with every rf choice enumerated under each.
-template <typename Visit>
-void for_each_candidate(const CandidateSpace& s, const Visit& visit) {
-  Candidate c;
-  c.rf.assign(s.reads.size(), -1);
-  std::vector<std::vector<int>> perm = s.writes_by_var;
-  for (auto& p : perm) std::sort(p.begin(), p.end());
-  c.co = perm;
-
-  struct Enumerator {
-    const CandidateSpace& s;
-    Candidate& c;
-    const Visit& visit;
-    bool stopped = false;
-
-    void rf_level(std::size_t k) {
-      if (stopped) return;
-      if (k == s.reads.size()) {
-        stopped = visit(c);
-        return;
-      }
-      for (int cand : s.rf_candidates[k]) {
-        c.rf[k] = cand;
-        rf_level(k + 1);
-        if (stopped) return;
-      }
-    }
-  };
-
-  Enumerator en{s, c, visit};
-  while (true) {
-    en.rf_level(0);
-    if (en.stopped) return;
-    std::size_t v = 0;
-    for (; v < perm.size(); ++v) {
-      const bool advanced = std::next_permutation(perm[v].begin(), perm[v].end());
-      c.co[v] = perm[v];  // on a wrap, next_permutation left it sorted
-      if (advanced) break;
-    }
-    if (v == perm.size()) return;
-  }
 }
 
 // --- POWER7 OBSERVATION ------------------------------------------------------
@@ -544,7 +481,7 @@ bool observation_holds(const CandidateSpace& s, const Candidate& c,
     const int r = s.reads[k];
     const AxEvent& re = s.events[static_cast<std::size_t>(r)];
     const int w = c.rf[k];
-    const int wpos = co_position(s, c, w);
+    const int wpos = co_position(c, w);
     const std::vector<int>& chain = c.co[static_cast<std::size_t>(re.var)];
 
     // Source visibility: an external source must be undelayed for the
@@ -556,7 +493,7 @@ bool observation_holds(const CandidateSpace& s, const Candidate& c,
         const int r2 = s.reads[k2];
         const AxEvent& r2e = s.events[static_cast<std::size_t>(r2)];
         if (r2 == r || r2e.tid != re.tid || r2e.var != re.var) continue;
-        if (co_position(s, c, c.rf[k2]) < wpos) g.add(r2, w);
+        if (co_position(c, c.rf[k2]) < wpos) g.add(r2, w);
       }
     }
 
@@ -608,43 +545,220 @@ bool observation_holds(const CandidateSpace& s, const Candidate& c,
   return orient_obligations(g, obligations, 0);
 }
 
-// --- The axioms --------------------------------------------------------------
+// --- The candidate search ----------------------------------------------------
 
-// POWER7's remaining axioms, for a candidate that passed SC-PER-LOCATION.
-// Kept out of line so the single-axiom check below stays small.
-[[gnu::noinline]] PowerAxiom check_power_axioms(const CandidateSpace& s,
-                                                const Candidate& c) {
-  {
-    // NO-THIN-AIR: acyclic(hb), hb = ppo ∪ rfe.
-    RowGraph g(s.ppo);
-    add_com_edges(g, s, c, Com::Rfe);
-    if (!g.acyclic()) return PowerAxiom::NoThinAir;
+// POWER7's axioms, all four of which make up its model.  The first three are
+// acyclicity checks, so the search can prune on them; OBSERVATION's
+// obligations are disjunctive, so it runs at the leaves only.
+constexpr int kPowerAxioms = 4;
+
+// Running totals of the calling thread's searches.
+thread_local AxiomaticSearchStats search_totals;
+
+// Transitive-closure rows: bit v of reach[u] is set iff the graph has a path
+// u ->+ v.  Adding u -> v closes a cycle iff u is reachable from v.
+using Closure = std::array<std::uint32_t, kMaxNodes>;
+
+Closure transitive_closure(const std::vector<std::uint32_t>& rows,
+                           std::size_t n) {
+  Closure reach{};
+  std::copy(rows.begin(), rows.end(), reach.begin());
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (reach[i] & (1u << k)) reach[i] |= reach[k];
+    }
   }
-  // PROPAGATION: coherence embeds into the single commit interleaving that
-  // also linearises hb and the sync nodes.
-  RowGraph g(s.prop);
-  add_com_edges(g, s, c, Com::RfCo);
-  if (!g.acyclic()) return PowerAxiom::Propagation;
-  // OBSERVATION: forced visibility from cumulativity pushes and catch-up.
-  if (!s.opt.power.drop_observation && !observation_holds(s, c, g)) {
-    return PowerAxiom::Observation;
-  }
-  return PowerAxiom::None;
+  return reach;
 }
 
-// The first axiom the candidate violates; PowerAxiom::None when it is
-// allowed.  SC, TSO and ARMv8 stop after the first check, which they run
-// with the ppo rows in place of po-loc: acyclic(ppo ∪ rf ∪ co ∪ fr).
-PowerAxiom check_candidate(const CandidateSpace& s, const Candidate& c) {
-  const bool power = s.arch == Arch::POWER7;
-  {
-    // SC-PER-LOCATION: acyclic(poloc ∪ rf ∪ co ∪ fr).
-    RowGraph g(power ? s.poloc : s.ppo);
-    add_com_edges(g, s, c, Com::RfCoFr);
-    if (!g.acyclic()) return PowerAxiom::ScPerLocation;
+// One backtracking search over the (rf, co) candidates.  It fixes each
+// variable's coherence order one write at a time, then each read's source,
+// and adds each choice's edges to the closures of the acyclicity axioms it
+// enforces.  A choice that closes a cycle is pruned: edges are only ever
+// added, so every completion of the partial candidate keeps the cycle.
+//
+//   closure 0: SC/TSO/ARMv8's one axiom, ppo ∪ rf ∪ co ∪ fr, or POWER7's
+//              SC-PER-LOCATION, poloc ∪ rf ∪ co ∪ fr;
+//   closure 1: POWER7's NO-THIN-AIR, ppo ∪ rfe;
+//   closure 2: POWER7's PROPAGATION, prop ∪ rf ∪ co.
+//
+// co and fr use immediate co successors only, which is equivalent for
+// acyclicity since full co/fr are contained in the transitive closure of the
+// chain form.
+class CandidateSearch {
+ public:
+  // Enforces POWER7's first `axioms` axioms (in PowerAxiom order); the
+  // other architectures have their one axiom whatever `axioms` says.
+  CandidateSearch(const CandidateSpace& s, int axioms) : s_(s) {
+    const bool power = s.arch == Arch::POWER7;
+    nodes_ = power ? s.prop.size() : s.events.size();
+    closures_ = power ? std::min(axioms, kPowerAxioms - 1) : 1;
+    observe_ = power && axioms == kPowerAxioms &&
+               !s.opt.power.drop_observation;
+    reach_[0] = transitive_closure(power ? s.poloc : s.ppo, nodes_);
+    if (closures_ > 1) reach_[1] = transitive_closure(s.ppo, nodes_);
+    if (closures_ > 2) reach_[2] = transitive_closure(s.prop, nodes_);
+    c_.rf.assign(s.reads.size(), -1);
+    c_.co.resize(s.writes_by_var.size());
+    c_.co_pos.assign(s.events.size(), -1);
   }
-  return power ? check_power_axioms(s, c) : PowerAxiom::None;
-}
+
+  ~CandidateSearch() {
+    ++search_totals.searches;
+    search_totals.extensions += stats_.extensions;
+    search_totals.pruned += stats_.pruned;
+    search_totals.leaves += stats_.leaves;
+  }
+
+  // Every outcome of a candidate that satisfies the axioms.
+  std::set<Outcome> outcomes() {
+    std::set<Outcome> out;
+    out_ = &out;
+    place_write(0, 0);
+    return out;
+  }
+
+  // Whether some candidate producing `target` satisfies the axioms.  Choices
+  // that contradict `target` (a register's source value, a variable's last
+  // write) are pruned as well.
+  bool allows(const Outcome& target) {
+    if (target.size() != static_cast<std::size_t>(s_.test->num_regs +
+                                                  s_.test->num_vars)) {
+      return false;
+    }
+    target_ = &target;
+    place_write(0, 0);
+    return found_;
+  }
+
+ private:
+  // Adds edge u -> v to closure `k` if the search enforces it; false when
+  // the edge closes a cycle.
+  bool extend(int k, int u, int v) {
+    if (k >= closures_) return true;
+    Closure& reach = reach_[static_cast<std::size_t>(k)];
+    if (u == v || (reach[static_cast<std::size_t>(v)] & (1u << u))) {
+      return false;
+    }
+    const std::uint32_t bit = 1u << v;
+    if (reach[static_cast<std::size_t>(u)] & bit) return true;
+    ++stats_.extensions;
+    const std::uint32_t gained = reach[static_cast<std::size_t>(v)] | bit;
+    for (std::size_t x = 0; x < nodes_; ++x) {
+      if (x == static_cast<std::size_t>(u) || (reach[x] & (1u << u))) {
+        reach[x] |= gained;
+      }
+    }
+    return true;
+  }
+
+  int value_of(int w) const {
+    return w < 0 ? 0 : s_.events[static_cast<std::size_t>(w)].value;
+  }
+
+  // Appends a write to variable v's coherence chain (`placed` writes are
+  // already in it); after the last variable, goes on to the reads.
+  void place_write(std::size_t v, std::size_t placed) {
+    if (v == c_.co.size()) {
+      choose_source(0);
+      return;
+    }
+    const std::vector<int>& writes = s_.writes_by_var[v];
+    if (placed == writes.size()) {
+      place_write(v + 1, 0);
+      return;
+    }
+    std::vector<int>& chain = c_.co[v];
+    const std::array<Closure, 3> saved = reach_;
+    for (int w : writes) {
+      if (found_) return;
+      if (c_.co_pos[static_cast<std::size_t>(w)] >= 0) continue;
+      if (target_ && placed + 1 == writes.size() &&
+          value_of(w) != (*target_)[static_cast<std::size_t>(
+                             s_.test->num_regs) + v]) {
+        ++stats_.pruned;
+        continue;
+      }
+      if (!chain.empty() &&
+          !(extend(0, chain.back(), w) && extend(2, chain.back(), w))) {
+        ++stats_.pruned;
+        reach_ = saved;
+        continue;
+      }
+      c_.co_pos[static_cast<std::size_t>(w)] = static_cast<int>(placed);
+      chain.push_back(w);
+      place_write(v, placed + 1);
+      chain.pop_back();
+      c_.co_pos[static_cast<std::size_t>(w)] = -1;
+      reach_ = saved;
+    }
+  }
+
+  // Chooses the source of read s.reads[k], adding its rf edge and its fr
+  // edge to the source's co successor; after the last read, a leaf.
+  void choose_source(std::size_t k) {
+    if (k == s_.reads.size()) {
+      leaf();
+      return;
+    }
+    const int r = s_.reads[k];
+    const AxEvent& re = s_.events[static_cast<std::size_t>(r)];
+    const std::vector<int>& chain = c_.co[static_cast<std::size_t>(re.var)];
+    const int reg = s_.outcome_reg[k];
+    const std::array<Closure, 3> saved = reach_;
+    for (int w : s_.rf_candidates[k]) {
+      if (found_) return;
+      if (target_ && reg >= 0 &&
+          value_of(w) != (*target_)[static_cast<std::size_t>(reg)]) {
+        ++stats_.pruned;
+        continue;
+      }
+      bool ok = true;
+      if (w >= 0) {
+        const bool rfe = s_.events[static_cast<std::size_t>(w)].tid != re.tid;
+        ok = extend(0, w, r) && (!rfe || extend(1, w, r)) && extend(2, w, r);
+      }
+      const auto next = static_cast<std::size_t>(co_position(c_, w) + 1);
+      if (ok && next < chain.size()) ok = extend(0, r, chain[next]);
+      if (ok) {
+        c_.rf[k] = w;
+        choose_source(k + 1);
+      } else {
+        ++stats_.pruned;
+      }
+      reach_ = saved;
+    }
+  }
+
+  // A whole candidate that passed every acyclicity axiom.  OBSERVATION runs
+  // on the PROPAGATION closure, whose cycles are those of prop ∪ rf ∪ co;
+  // outcomes() skips it for an outcome it already holds.
+  void leaf() {
+    ++stats_.leaves;
+    Outcome o = outcome_of(s_, c_);
+    if (target_ ? o != *target_ : out_->count(o) != 0) return;
+    if (observe_) {
+      RowGraph g(reach_[2], nodes_);
+      if (!observation_holds(s_, c_, g)) return;
+    }
+    if (target_) {
+      found_ = true;
+    } else {
+      out_->insert(std::move(o));
+    }
+  }
+
+  const CandidateSpace& s_;
+  std::size_t nodes_ = 0;
+  int closures_ = 1;
+  bool observe_ = false;
+  std::array<Closure, 3> reach_{};
+  Candidate c_;
+  std::set<Outcome>* out_ = nullptr;
+  const Outcome* target_ = nullptr;
+  bool found_ = false;
+  AxiomaticSearchStats stats_;
+};
 
 }  // namespace
 
@@ -686,18 +800,16 @@ PowerAxiom power_forbidding_axiom(const LitmusTest& test,
                                   const Outcome& outcome,
                                   const AxiomaticOptions& options) {
   const CandidateSpace s = make_space(test, Arch::POWER7, options);
-  // Deepest check reached by any candidate producing the outcome: earlier
-  // axioms passed for that candidate, so this one did the real forbidding.
-  PowerAxiom deepest = PowerAxiom::ScPerLocation;
-  bool allowed = false;
-  for_each_candidate(s, [&](const Candidate& c) {
-    if (outcome_of(s, c) != outcome) return false;
-    const PowerAxiom verdict = check_candidate(s, c);
-    allowed = verdict == PowerAxiom::None;
-    deepest = std::max(deepest, verdict);
-    return allowed;
-  });
-  return allowed ? PowerAxiom::None : deepest;
+  // The deepest axiom reached by any candidate producing the outcome: with
+  // the first `axioms` enforced, some candidate passes them all, so the next
+  // one did the real forbidding.
+  for (int axioms = kPowerAxioms; axioms > 0; --axioms) {
+    if (CandidateSearch(s, axioms).allows(outcome)) {
+      return axioms == kPowerAxioms ? PowerAxiom::None
+                                    : static_cast<PowerAxiom>(axioms + 1);
+    }
+  }
+  return PowerAxiom::ScPerLocation;
 }
 
 struct AxiomaticEvaluator::Impl {
@@ -758,25 +870,13 @@ std::set<Outcome> AxiomaticEvaluator::outcomes() const {
   const Impl& im = *impl_;
   WMM_PROFILE_SPAN(im.space.arch == Arch::POWER7 ? obs::Phase::AxPowerCheck
                                                  : obs::Phase::AxCheck);
-  std::set<Outcome> out;
-  for_each_candidate(im.space, [&](const Candidate& c) {
-    if (check_candidate(im.space, c) == PowerAxiom::None) {
-      out.insert(outcome_of(im.space, c));
-    }
-    return false;
-  });
-  return out;
+  return CandidateSearch(im.space, kPowerAxioms).outcomes();
 }
 
 bool AxiomaticEvaluator::allowed(const Outcome& outcome) const {
-  const Impl& im = *impl_;
-  bool found = false;
-  for_each_candidate(im.space, [&](const Candidate& c) {
-    found = check_candidate(im.space, c) == PowerAxiom::None &&
-            outcome_of(im.space, c) == outcome;
-    return found;
-  });
-  return found;
+  return CandidateSearch(impl_->space, kPowerAxioms).allows(outcome);
 }
+
+AxiomaticSearchStats axiomatic_search_stats() { return search_totals; }
 
 }  // namespace wmm::sim

@@ -1,15 +1,15 @@
 // Axiomatic (Herding-Cats-style) checker for the simulated memory models.
 //
 // This is an *independent oracle* for the operational litmus executor in
-// memory_model.{h,cpp}.  Instead of exploring commit orders, it enumerates
+// memory_model.{h,cpp}.  Instead of exploring commit orders, it searches
 // *candidate executions* in the style of Alglave, Maranget & Tautschnig's
 // "Herding Cats" (TOPLAS 2014): a reads-from relation (rf) assigning every
 // read a source write (or the initial value), and a coherence order (co)
-// totally ordering the writes of each location.  One engine enumerates the
-// (rf, co) candidates of every architecture; each architecture supplies its
-// preserved program order, fence classes and axioms.  fr = rf⁻¹;co is the
-// from-reads relation; ppo below includes the po pairs ordered by an
-// intervening fence's ordering classes.
+// totally ordering the writes of each location.  One backtracking search
+// builds the (rf, co) candidates of every architecture; each architecture
+// supplies its preserved program order, fence classes and axioms.
+// fr = rf⁻¹;co is the from-reads relation; ppo below includes the po pairs
+// ordered by an intervening fence's ordering classes.
 //
 //   SC / x86-TSO / ARMv8 (multi-copy-atomic), one axiom:
 //       acyclic(ppo ∪ rf ∪ co ∪ fr)
@@ -52,6 +52,16 @@
 //       candidate is accepted iff some orientation of all obligations is
 //       acyclic — exactly the existence of a witnessing interleaving.
 //
+// The search fixes each location's coherence order one write at a time,
+// then each read's source, and keeps the transitive closure of every
+// acyclicity axiom's graph as it goes (SC-PER-LOCATION, NO-THIN-AIR and
+// PROPAGATION on POWER7; the one axiom elsewhere).  A choice whose edges
+// close a cycle is pruned with every completion of it.  That is exact:
+// each pruned check is monotone in the edges, so a completion only adds
+// edges to the cycle, and OBSERVATION, whose obligations are disjunctive,
+// is checked only on whole candidates.  A membership query also prunes
+// choices that contradict the queried outcome.
+//
 // Every model is exact for the operational executor: the differential
 // fuzzer (fuzz.h) checks operational-set == axiomatic-set equality on all
 // four architectures.  See DESIGN.md §3a for the equivalence argument.
@@ -63,6 +73,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
@@ -131,9 +142,26 @@ struct AxiomaticOptions {
 std::set<Outcome> axiomatic_outcomes(const LitmusTest& test, Arch arch,
                                      const AxiomaticOptions& options = {});
 
-// Membership query (short-circuits the candidate enumeration).
+// Membership query: searches only the candidates that produce `outcome`,
+// and stops at the first that satisfies the axioms.
 bool axiomatic_allowed(const LitmusTest& test, const Outcome& outcome,
                        Arch arch, const AxiomaticOptions& options = {});
+
+// Running totals of the calling thread's candidate searches (every
+// axiomatic_outcomes / axiomatic_allowed / power_forbidding_axiom call and
+// every AxiomaticEvaluator verdict runs one or more).  `extensions` counts
+// the edges that grew an axiom's transitive closure, `pruned` the choices
+// rejected because they closed a cycle or contradicted the queried outcome,
+// and `leaves` the whole candidates that passed every acyclicity axiom.  All
+// are deterministic per program, architecture and query.  Per-thread, and
+// outside the obs counter registry, like EnumArenaStats.
+struct AxiomaticSearchStats {
+  std::uint64_t searches = 0;
+  std::uint64_t extensions = 0;
+  std::uint64_t pruned = 0;
+  std::uint64_t leaves = 0;
+};
+AxiomaticSearchStats axiomatic_search_stats();
 
 // The preserved-program-order relation used by the axioms (fence ordering
 // included; on POWER7 this is hb's program-order part), exposed for tests:

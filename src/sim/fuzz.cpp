@@ -50,13 +50,14 @@ std::string instr_string(const LitmusInstr& in) {
 FuzzConfig FuzzConfig::for_arch(Arch arch) {
   FuzzConfig c;
   if (allows_early_forwarding(arch)) {
-    // POWER programs stay small for two reasons.  The axiomatic oracle
-    // checks every rf × co candidate (each read's possible sources times
-    // each location's coherence permutations), and on POWER a candidate
-    // that reaches OBSERVATION may try every orientation of its
-    // obligations.  And these shapes define the fixed-seed POWER corpora
-    // (CI's, the teeth counts, perfbench's fuzz-diff inputs): changing a
-    // limit changes every one of them.
+    // POWER programs stay small for two reasons.  The axiomatic oracle's
+    // search prunes only the rf × co choices (each read's possible sources
+    // times each location's coherence permutations) that close a cycle, so
+    // its worst case still grows with them, and on POWER a candidate that
+    // reaches OBSERVATION may try every orientation of its obligations.
+    // And these shapes define the fixed-seed POWER corpora (CI's, the
+    // teeth counts, perfbench's fuzz-diff inputs): changing a limit changes
+    // every one of them.
     c.max_threads = 3;
     c.max_instrs_per_thread = 3;
     c.max_total_instrs = 6;
