@@ -602,31 +602,35 @@ FuzzReport run_conformance_corpus(Arch arch, std::uint64_t base_seed, int count,
   for (int start = 0; start < count;) {
     const int end = std::min(count, start + chunk_size);
 
-    // Scan the wave in seed order on this thread: generate, canonicalise,
-    // consult the memo, and dedupe unseen keys.  Only unique cache misses
+    // Generate and canonicalise the wave in parallel: both are pure
+    // functions of the seed.  Then scan it in seed order on this thread:
+    // consult the memo and dedupe unseen keys.  Only unique cache misses
     // become parallel work, so the fan-out pattern is a pure function of the
     // seed sequence (never of the thread count).
-    std::vector<Item> items;
-    std::vector<int> work;  // item index of each unique miss
-    std::unordered_map<std::string, int> wave_work;
-    for (int i = start; i < end; ++i) {
+    std::vector<int> indices(static_cast<std::size_t>(end - start));
+    std::iota(indices.begin(), indices.end(), start);
+    std::vector<Item> items = par::par_map(pool, indices, [&](const int& i) {
       Item item;
       item.seed = hash_combine(base_seed, static_cast<std::uint64_t>(i));
       item.test = generate_litmus(item.seed, config);
+      if (run.memoize) item.key = canonical_program_key(item.test);
+      return item;
+    });
+    std::vector<int> work;  // item index of each unique miss
+    std::unordered_map<std::string, int> wave_work;
+    for (std::size_t n = 0; n < items.size(); ++n) {
+      Item& item = items[n];
       if (run.memoize) {
-        item.key = canonical_program_key(item.test);
         const auto hit = memo.find(item.key);
         if (hit != memo.end()) {
           item.outcomes = hit->second;
           report.memo_hits += 1;
-          items.push_back(std::move(item));
           continue;
         }
         const auto dup = wave_work.find(item.key);
         if (dup != wave_work.end()) {
           item.work = dup->second;
           report.memo_hits += 1;
-          items.push_back(std::move(item));
           continue;
         }
         if (store) {
@@ -636,7 +640,6 @@ FuzzReport run_conformance_corpus(Arch arch, std::uint64_t base_seed, int count,
             memo.emplace(item.key, item.outcomes);
             report.memo_hits += 1;
             report.store_hits += 1;
-            items.push_back(std::move(item));
             continue;
           }
         }
@@ -644,8 +647,7 @@ FuzzReport run_conformance_corpus(Arch arch, std::uint64_t base_seed, int count,
       }
       report.memo_misses += 1;
       item.work = static_cast<int>(work.size());
-      work.push_back(static_cast<int>(items.size()));
-      items.push_back(std::move(item));
+      work.push_back(static_cast<int>(n));
     }
 
     const std::vector<WorkResult> results =
